@@ -19,6 +19,7 @@ from .states import (
     FockMixture,
     ThermalState,
     fock_weights,
+    geometric_weights,
     occupation_number,
     q_marginal_pdf,
     thermal_from_mean_n,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .numerics import Grid1D, erfc
+from .numerics import Grid1D
 from .states import (
     BlackbodyMode,
     occupation_number,
@@ -27,7 +27,6 @@ from .states import (
 )
 from .quasiprob import eval_grid, s_closed, s_oracle_fock, s_oracle_pintegral
 from .weakvalues import (
-    classical_weak_value_p2,
     hamiltonian_weak,
     moment_weak_integral,
     negativity_probability,
@@ -146,6 +145,8 @@ def cmd_weakvalue_curve(args) -> int:
 def cmd_negativity_prob(args) -> int:
     if not (0.0 <= args.mean_n_min < args.mean_n_max):
         raise ValueError("require 0 <= min < max for the occupation range")
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1")
     grid = np.linspace(args.mean_n_min, args.mean_n_max, args.steps)
     probs = [negativity_probability(thermal_from_mean_n(n), "closed") for n in grid]
     meta = {
@@ -206,7 +207,7 @@ def _report_dict(rep):
 def cmd_simulate(args) -> int:
     state = thermal_from_mean_n(args.mean_n)
     pointer = _build_pointer(args)
-    bw = args.bin_halfwidth or default_bin_halfwidth(state)
+    bw = default_bin_halfwidth(state) if args.bin_halfwidth is None else args.bin_halfwidth
     if args.g_sweep:
         reports = convergence_sweep(state, pointer, args.q, args.g_sweep, bin_halfwidth=bw)
     else:

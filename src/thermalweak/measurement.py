@@ -44,7 +44,10 @@ CURRENT_DENSITY_TOL = 1e-10
 
 NORMALIZATION_TOL = 1e-10
 
-DEFAULT_OBJECT_GRID = Grid1D(-12.0, 12.0, 4096)
+#: Fock truncation of a thermal pointer.
+POINTER_TAIL_TOL = 1e-10
+
+OBJECT_GRID = Grid1D(-12.0, 12.0, 4096)
 DEFAULT_POINTER_GRID = Grid1D(-80.0, 80.0, 1025)
 DEFAULT_POINTER_WIDTH = 10.0
 
@@ -141,9 +144,7 @@ def gaussian_pointer(grid: Grid1D, width: float) -> PointerState:
     return pointer_from_components(grid, [(1.0, amps)])
 
 
-def thermal_pointer(
-    grid: Grid1D, mean_n: float, scale: float, tail_tol: float = 1e-10
-) -> PointerState:
+def thermal_pointer(grid: Grid1D, mean_n: float, scale: float) -> PointerState:
     """Thermal (mixed) pointer: scaled oscillator eigenfunctions with
     geometric weights.
 
@@ -154,18 +155,9 @@ def thermal_pointer(
     """
     if scale <= 0.0:
         raise ValueError("scale must be > 0")
-    if not (0.0 < tail_tol <= 1e-3):
-        raise ValueError("tail_tol must lie in (0, 1e-3]")
-    if mean_n < 0.0:
-        raise ValueError("mean_n must be >= 0")
-    if mean_n == 0.0:
-        ncut = 0
-        weights = np.array([1.0])
-    else:
-        ratio = mean_n / (1.0 + mean_n)
-        ncut = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
-        weights = ratio ** np.arange(ncut + 1) / (1.0 + mean_n)
-        weights = weights / weights.sum()
+    mix = fock_weights(ThermalState(mean_n), POINTER_TAIL_TOL)
+    ncut = mix.truncation
+    weights = mix.weights / mix.weights.sum()
     x = grid.points()
     table = hermite_psi_table(ncut, x / scale) / math.sqrt(scale)
     comps = []
@@ -189,11 +181,7 @@ def default_bin_halfwidth(state: ThermalState) -> float:
 
 
 def simulate_weak_p2(
-    object_state: ThermalState,
-    pointer: PointerState,
-    cfg: CouplingConfig,
-    object_grid: Grid1D = DEFAULT_OBJECT_GRID,
-    tail_tol: float = 1e-12,
+    object_state: ThermalState, pointer: PointerState, cfg: CouplingConfig
 ) -> SimulationReport:
     """Run the coupled object-pointer protocol and estimate (p^2)_w.
 
@@ -203,6 +191,10 @@ def simulate_weak_p2(
     transform the object back to position (only the postselection-bin rows
     are needed) and the pointer back to position, and accumulate the
     weighted conditional pointer distribution.
+
+    Domain: every Fock component must fit on OBJECT_GRID, which holds up
+    to order 49, i.e. mean_n up to about 1.35; larger occupations are
+    refused with a ValueError.
     """
     if pointer.current_density_max >= CURRENT_DENSITY_TOL:
         raise ValueError(
@@ -213,8 +205,9 @@ def simulate_weak_p2(
     if cfg.bin_halfwidth > sigma / 10.0:
         raise ValueError("bin_halfwidth must be at most sigma/10 of the object")
 
-    q = object_grid.points()
-    dq = object_grid.spacing
+    grid_span = f"[{OBJECT_GRID.min:g}, {OBJECT_GRID.max:g}]"
+    q = OBJECT_GRID.points()
+    dq = OBJECT_GRID.spacing
     # Each grid row represents the cell [q_i - dq/2, q_i + dq/2); weight rows
     # by their fractional overlap with the bin so the effective postselection
     # window is centered on postselect_q regardless of grid alignment.
@@ -225,12 +218,24 @@ def simulate_weak_p2(
     bin_rows = np.nonzero(row_weights > 0.0)[0]
     if bin_rows.size == 0:
         raise ValueError(
-            "postselection bin contains no grid points; refine object_grid"
+            f"postselection bin [{lo:.6g}, {hi:.6g}] lies outside the "
+            f"object grid {grid_span}"
         )
     row_weights = row_weights[bin_rows]
 
-    mix = fock_weights(object_state, tail_tol)
+    mix = fock_weights(object_state)
     psi_table = hermite_psi_table(mix.truncation, q)
+    # The transforms are unitary and the interaction phase has unit modulus,
+    # so a component clipped by the object grid shows up as a norm deficit.
+    norms = np.sum(psi_table * psi_table, axis=1) * dq
+    clipped = np.nonzero(np.abs(norms - 1.0) > NORMALIZATION_TOL)[0]
+    if clipped.size:
+        n = int(clipped[0])
+        raise ValueError(
+            f"mean_n={object_state.mean_n:g} needs Fock order {mix.truncation}, "
+            f"but order {n} is clipped by the object grid {grid_span} "
+            f"(discrete norm {float(norms[n])!r})"
+        )
 
     # Pointer momentum representation, once per mixture component.
     xg = pointer.grid
@@ -246,35 +251,22 @@ def simulate_weak_p2(
 
     # Pointer momentum -> position kernel (needed on bin rows only).
     back_x = np.exp(1.0j * np.outer(k, x)) * (dk / math.sqrt(2.0 * math.pi))
+    # Interaction phase on the (p, k) product grid, exact, not perturbative;
+    # and the object back-transform restricted to the postselection-bin rows.
+    pgrid = OBJECT_GRID.conjugate()
+    p = pgrid.points()
+    dp = pgrid.spacing
+    phase = np.exp(-1.0j * cfg.g * np.outer(p * p, k))
+    back_q = np.exp(1.0j * np.outer(q[bin_rows], p)) * (dp / math.sqrt(2.0 * math.pi))
 
     cond = np.zeros(xg.count)
-    total_prob = 0.0
     for n in range(mix.truncation + 1):
-        rho_n = mix.weights[n]
-        psi_p, pgrid = q_to_p_transform(psi_table[n].astype(complex), object_grid)
-        p = pgrid.points()
-        dp = pgrid.spacing
-        # Interaction phase on the (p, k) product grid; exact, not
-        # perturbative.
-        phase = np.exp(-1.0j * cfg.g * np.outer(p * p, k))
-        # Object back-transform restricted to the postselection-bin rows.
-        back_q = np.exp(1.0j * np.outer(q[bin_rows], p)) * (
-            dp / math.sqrt(2.0 * math.pi)
-        )
+        psi_p, _ = q_to_p_transform(psi_table[n].astype(complex), OBJECT_GRID)
         bin_pk = (back_q * psi_p[None, :]) @ phase  # rows x k
         for weight, phi_k in pointer_k:
-            # Joint norm after the (unit-modulus) interaction phase; the
-            # discrete transforms are exactly unitary so this must be 1.
-            joint_norm = float(
-                np.sum(np.abs(psi_p) ** 2) * dp * np.sum(np.abs(phi_k) ** 2) * dk
-            )
-            if abs(joint_norm - 1.0) > NORMALIZATION_TOL:
-                raise RuntimeError(
-                    f"joint norm deviates from 1 after interaction: {joint_norm!r}"
-                )
             psi_qx = (bin_pk * phi_k[None, :]) @ back_x  # rows x x
             cond += (
-                rho_n
+                mix.weights[n]
                 * weight
                 * (row_weights[:, None] * np.abs(psi_qx) ** 2).sum(axis=0)
                 * dq
@@ -304,7 +296,6 @@ def convergence_sweep(
     q: float,
     g_list,
     bin_halfwidth: float | None = None,
-    object_grid: Grid1D = DEFAULT_OBJECT_GRID,
 ):
     """Simulate at a fixed postselection point for decreasing couplings."""
     g_list = [float(g) for g in g_list]
@@ -319,7 +310,6 @@ def convergence_sweep(
             object_state,
             pointer,
             CouplingConfig(g=g, postselect_q=q, bin_halfwidth=bin_halfwidth),
-            object_grid=object_grid,
         )
         for g in g_list
     ]

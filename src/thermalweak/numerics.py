@@ -71,36 +71,25 @@ DEFAULT_TEST_GRID = Grid1D(-12.0, 12.0, 1537)
 
 
 def hermite_psi(n: int, q):
-    """Normalized harmonic-oscillator eigenfunction psi_n(q).
-
-    Evaluated with the stable two-term recurrence on the *functions*
-    (never Hermite polynomial times Gaussian), so it is usable up to
-    large n without overflow.  Accepts scalar or array q.
-    """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"unsupported order n={n} (guard: {MAX_HERMITE_ORDER})")
+    """Normalized harmonic-oscillator eigenfunction psi_n(q): row n of
+    :func:`hermite_psi_table`.  Accepts scalar or array q."""
     q_arr = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q_arr)):
-        raise ValueError("q must be finite")
-    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * q_arr * q_arr)
-    if n == 0:
-        return psi_prev if np.ndim(q) else float(psi_prev)
-    psi = math.sqrt(2.0) * q_arr * psi_prev
-    for k in range(2, n + 1):
-        psi, psi_prev = (
-            math.sqrt(2.0 / k) * q_arr * psi - math.sqrt((k - 1) / k) * psi_prev,
-            psi,
-        )
+    psi = hermite_psi_table(n, q_arr.ravel())[n].reshape(q_arr.shape)
     return psi if np.ndim(q) else float(psi)
 
 
 def hermite_psi_table(nmax: int, q) -> np.ndarray:
-    """All psi_n(q) for n = 0..nmax, shape (nmax+1, len(q))."""
+    """All psi_n(q) for n = 0..nmax, shape (nmax+1, len(q)).
+
+    Evaluated with the stable two-term recurrence on the *functions*
+    (never Hermite polynomial times Gaussian), so it is usable up to
+    large n without overflow.
+    """
     if nmax < 0 or nmax > MAX_HERMITE_ORDER:
-        raise ValueError(f"unsupported order nmax={nmax}")
+        raise ValueError(f"unsupported order nmax={nmax} (guard: {MAX_HERMITE_ORDER})")
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all(np.isfinite(q_arr)):
+        raise ValueError("q must be finite")
     table = np.empty((nmax + 1, q_arr.size))
     table[0] = np.pi ** -0.25 * np.exp(-0.5 * q_arr * q_arr)
     if nmax >= 1:

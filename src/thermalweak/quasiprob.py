@@ -36,6 +36,11 @@ __all__ = [
 
 FIELD_LABELS = ("standard-ordered", "kirkwood", "margenau-hill")
 
+#: Trapezoid grid of the P-distribution oracle, per axis: points, and
+#: half-width in standard deviations of the Gaussian integrand.
+PINTEGRAL_POINTS = 801
+PINTEGRAL_EXTENT = 8.0
+
 
 @dataclass(frozen=True)
 class ComplexPhaseField:
@@ -84,13 +89,13 @@ def kirkwood(state: ThermalState, q, p):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def s_oracle_fock(state: ThermalState, q: float, p: float, tail_tol: float = 1e-12) -> complex:
+def s_oracle_fock(state: ThermalState, q: float, p: float) -> complex:
     """S(q,p) from the Fock decomposition of the density matrix.
 
     <q|rho|p> = sum_n rho_n psi_n(q) * conj((-i)^n psi_n(p)) and
     S = conj(<q|rho|p> <p|q>) with <p|q> = exp(-i*p*q)/sqrt(2*pi).
     """
-    mix = fock_weights(state, tail_tol)
+    mix = fock_weights(state)
     n = np.arange(mix.truncation + 1)
     psi_q = hermite_psi_table(mix.truncation, q)[:, 0]
     psi_p = hermite_psi_table(mix.truncation, p)[:, 0]
@@ -99,13 +104,7 @@ def s_oracle_fock(state: ThermalState, q: float, p: float, tail_tol: float = 1e-
     return complex(np.conj(rho_qp * braket_pq))
 
 
-def s_oracle_pintegral(
-    state: ThermalState,
-    q: float,
-    p: float,
-    points: int = 801,
-    extent_sigmas: float = 8.0,
-) -> complex:
+def s_oracle_pintegral(state: ThermalState, q: float, p: float) -> complex:
     """S(q,p) from a 2-D quadrature of the P-distribution route.
 
     Writes S = integral d^2alpha P(alpha) <alpha|q> phi_alpha~(p) <q|p>-type
@@ -124,9 +123,9 @@ def s_oracle_pintegral(
     sig = 1.0 / math.sqrt(2.0 * c)
     x0 = q / (math.sqrt(2.0) * c)
     y0 = p / (math.sqrt(2.0) * c)
-    half = extent_sigmas * sig
-    xg = Grid1D(x0 - half, x0 + half, points)
-    yg = Grid1D(y0 - half, y0 + half, points)
+    half = PINTEGRAL_EXTENT * sig
+    xg = Grid1D(x0 - half, x0 + half, PINTEGRAL_POINTS)
+    yg = Grid1D(y0 - half, y0 + half, PINTEGRAL_POINTS)
     x = xg.points()[:, None]
     y = yg.points()[None, :]
     expo = (

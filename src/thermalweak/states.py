@@ -18,6 +18,7 @@ __all__ = [
     "thermal_from_mean_n",
     "occupation_number",
     "wien_peak_occupation",
+    "geometric_weights",
     "fock_weights",
     "q_marginal_pdf",
 ]
@@ -125,9 +126,15 @@ def wien_peak_occupation(convention: str = "wavelength-peak") -> float:
     return 1.0 / math.expm1(x)
 
 
+def geometric_weights(mean_n: float, nmax: int) -> np.ndarray:
+    """Thermal Fock weights rho_n = <n>^n / (1+<n>)^(n+1) for n = 0..nmax."""
+    ratio = mean_n / (1.0 + mean_n)
+    return ratio ** np.arange(nmax + 1) / (1.0 + mean_n)
+
+
 def fock_weights(state: ThermalState, tail_tol: float = 1e-12) -> FockMixture:
-    """Geometric Fock weights rho_n = <n>^n / (1+<n>)^(n+1), truncated so the
-    discarded tail (<n>/(1+<n>))^(N+1) is at most tail_tol."""
+    """Geometric Fock weights, truncated at the order N where the discarded
+    tail (<n>/(1+<n>))^(N+1) is at most tail_tol."""
     if not (0.0 < tail_tol <= 1e-3):
         raise ValueError("tail_tol must lie in (0, 1e-3]")
     nbar = state.mean_n
@@ -135,9 +142,7 @@ def fock_weights(state: ThermalState, tail_tol: float = 1e-12) -> FockMixture:
         return FockMixture(np.array([1.0]), 0)
     ratio = nbar / (1.0 + nbar)
     ncut = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
-    n = np.arange(ncut + 1)
-    weights = ratio**n / (1.0 + nbar)
-    return FockMixture(weights, ncut)
+    return FockMixture(geometric_weights(nbar, ncut), ncut)
 
 
 def q_marginal_pdf(state: ThermalState, q):

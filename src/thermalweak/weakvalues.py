@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from .numerics import Grid1D, erfc, hermite_psi_table, integrate
 from .quasiprob import s_closed
-from .states import ThermalState, fock_weights, q_marginal_pdf
+from .states import ThermalState, fock_weights, geometric_weights, q_marginal_pdf
 
 __all__ = [
     "WeakValueCurve",
@@ -38,6 +38,14 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 8
 
+#: Trapezoid grid of the conditional-moment integral: points, and half-width
+#: in standard deviations of the p-marginal.
+MOMENT_POINTS = 8001
+MOMENT_EXTENT = 16.0
+
+#: Weight-based Fock truncation of the energy route, before its extension.
+HAMILTONIAN_TAIL_TOL = 1e-16
+
 #: Conditioning probability density below which a weak value is refused
 #: instead of clamped (the postselection outcome is out of support).
 MARGINAL_FLOOR = 1e-300
@@ -50,7 +58,6 @@ class WeakValueCurve:
     state: ThermalState
     qgrid: Grid1D
     values: np.ndarray
-    observable: str  # "p2" | "hamiltonian" | "p_moment(n)"
     method: str  # "closed-form" | "conditional-moment-integral"
 
     def __post_init__(self) -> None:
@@ -77,13 +84,7 @@ def p2_weak_closed(state: ThermalState, q):
     return float(out) if out.ndim == 0 else out
 
 
-def moment_weak_integral(
-    state: ThermalState,
-    n: int,
-    q: float,
-    points: int = 8001,
-    extent: float = 16.0,
-) -> float:
+def moment_weak_integral(state: ThermalState, n: int, q: float) -> float:
     """Weak value of p^n as a conditional moment of S(q,p).
 
     Evaluates integral dp p^n S(q,p) / <q|rho|q> by trapezoid quadrature of
@@ -99,31 +100,27 @@ def moment_weak_integral(
         )
     s2 = state.sigma2
     p_std = math.sqrt((1.0 + 4.0 * s2 * s2) / (4.0 * s2))
-    pgrid = Grid1D(-extent * p_std, extent * p_std, points)
+    pgrid = Grid1D(-MOMENT_EXTENT * p_std, MOMENT_EXTENT * p_std, MOMENT_POINTS)
     p = pgrid.points()
     vals = p**n * s_closed(state, q, p)
     return float(np.real(integrate(vals, pgrid))) / marg
 
 
-def hamiltonian_weak(state: ThermalState, q: float, tail_tol: float = 1e-16) -> float:
+def hamiltonian_weak(state: ThermalState, q: float) -> float:
     """Weak value of the free-field Hamiltonian (p^2+q^2)/2 postselected on q.
 
     Fock route: <q|rho H|q> = sum_n rho_n (n+1/2) psi_n(q)^2.  Satisfies
     2*H_w(q) - q^2 = (p^2)_w(q).
     """
-    mix = fock_weights(state, tail_tol)
+    ncut = fock_weights(state, HAMILTONIAN_TAIL_TOL).truncation
     # At large |q| the low-n eigenfunctions are exponentially suppressed
     # while higher-n ones are not, so the weight-based truncation alone
     # would lose relative accuracy in the tiny denominator.  Extend the
-    # cutoff past the classical turning point of the postselection value.
-    ncut = mix.truncation + math.ceil(0.5 * q * q) + 10
-    nbar = state.mean_n
-    if nbar == 0.0:
-        weights = np.array([1.0])
-        ncut = 0
-    else:
-        ratio = nbar / (1.0 + nbar)
-        weights = ratio ** np.arange(ncut + 1) / (1.0 + nbar)
+    # cutoff past the classical turning point of the postselection value
+    # (the vacuum has a single component and needs none).
+    if state.mean_n > 0.0:
+        ncut += math.ceil(0.5 * q * q) + 10
+    weights = geometric_weights(state.mean_n, ncut)
     psi_q = hermite_psi_table(ncut, q)[:, 0]
     terms = weights * psi_q * psi_q
     den = float(np.sum(terms))
@@ -190,4 +187,4 @@ def p2_weak_curve(
             f"unknown method {method!r}; expected 'closed-form' or "
             "'conditional-moment-integral'"
         )
-    return WeakValueCurve(state, qgrid, values, "p2", method)
+    return WeakValueCurve(state, qgrid, values, method)

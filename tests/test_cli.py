@@ -113,6 +113,11 @@ class TestNegativityProb:
         )
         assert code == 2 and err.startswith("error: ")
 
+    def test_zero_steps_refused(self, capsys):
+        code, out, err = run(capsys, "negativity-prob", "--steps", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--steps" in err
+
 
 class TestOccupation:
     def test_wien_wavelength(self, capsys):
@@ -168,6 +173,26 @@ class TestSimulate:
         assert code == 0
         residuals = [r["residual"] for r in json.loads(out.read_text())["data"]]
         assert all(b <= a + 1e-6 for a, b in zip(residuals, residuals[1:]))
+
+    @pytest.mark.parametrize("width", ["0", "-0.01"])
+    def test_nonpositive_bin_refused(self, capsys, width):
+        code, out, err = run(
+            capsys, "simulate", "--mean-n", "0", "--q", "2", "--bin-halfwidth", width
+        )
+        assert code == 2 and out == ""
+        assert err == "error: bin_halfwidth must be > 0\n"
+
+    def test_occupation_beyond_object_grid_refused(self, capsys):
+        code, out, err = run(capsys, "simulate", "--mean-n", "2", "--q", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "object grid [-12, 12]" in err and "Traceback" not in err
+
+    def test_postselection_beyond_object_grid_refused(self, capsys):
+        code, out, err = run(capsys, "simulate", "--mean-n", "0", "--q", "13")
+        assert code == 2 and out == ""
+        assert err.startswith("error: postselection bin")
+        assert "object grid [-12, 12]" in err
 
 
 class TestVerify:

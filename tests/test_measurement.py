@@ -133,6 +133,21 @@ class TestSimulateWeakP2:
         with pytest.raises(ValueError, match="sigma/10"):
             simulate_weak_p2(vac, wide_pointer, cfg)
 
+    def test_fock_order_clipped_by_object_grid(self, wide_pointer):
+        # mean_n = 1.5 needs Fock order 54; order 50 already loses 1.8e-10
+        # of its norm beyond |q| = 12.
+        st = thermal_from_mean_n(1.5)
+        cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(st))
+        with pytest.raises(ValueError, match=r"order 50 is clipped by the object grid"):
+            simulate_weak_p2(st, wide_pointer, cfg)
+
+    def test_answers_below_object_grid_limit(self, wide_pointer):
+        # mean_n = 1.3 needs Fock order 48, which still fits the object grid.
+        st = thermal_from_mean_n(1.3)
+        cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(st))
+        rep = simulate_weak_p2(st, wide_pointer, cfg)
+        assert rep.residual < 0.05 * abs(rep.analytic_weak_value)
+
 
 class TestConvergenceSweep:
     def test_vacuum_q2_limit(self, wide_pointer):

@@ -57,6 +57,9 @@ class TestHermitePsi:
             hermite_psi(1001, 0.0)
         with pytest.raises(ValueError):
             hermite_psi(-1, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hermite_psi_table(3, [0.0, bad])
 
     def test_orthonormality_up_to_60(self):
         # psi_60 needs support out to ~|q|=13 before the gram matrix settles.

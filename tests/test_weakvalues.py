@@ -183,7 +183,6 @@ class TestWeakValueCurve:
         closed = p2_weak_curve(st, grid, "closed-form")
         integral = p2_weak_curve(st, grid, "conditional-moment-integral")
         np.testing.assert_allclose(closed.values, integral.values, atol=1e-8)
-        assert closed.observable == "p2"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
