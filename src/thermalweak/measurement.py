@@ -1,4 +1,4 @@
-"""Grid-based simulator of the von Neumann weak-measurement protocol.
+"""Simulator of the von Neumann weak-measurement protocol.
 
 Object (a single thermal mode) and pointer are coupled through
 exp(-i g p^2 (x) P_pointer), the object is postselected in a narrow bin
@@ -6,12 +6,13 @@ around a chosen quadrature value, and the conditional pointer position
 shift divided by g estimates the weak value of p^2 -- including its
 negative values beyond the threshold.
 
-The interaction is applied exactly as a phase in the doubly-transformed
-(object-momentum, pointer-momentum) representation, so the g-sweep
-measures the weak-limit error honestly.  Fock components of the object
-and mixture components of the pointer are simulated pure-state-wise and
-their conditional pointer distributions summed with their weights, which
-is exact for diagonal mixtures.
+The interaction is applied exactly, not perturbatively: at each pointer
+momentum it is free evolution of the object, which carries every Fock
+state in closed form (see :func:`simulate_weak_p2`), so only the pointer
+lives on a grid and the g-sweep measures the weak-limit error honestly.
+Fock components of the object and mixture components of the pointer are
+simulated pure-state-wise and their conditional pointer distributions
+summed with their weights, which is exact for diagonal mixtures.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, hermite_psi_table, q_to_p_transform
-from .states import ThermalState, fock_weights
+from .numerics import Grid1D, hermite_psi_table, p_to_q_transform, q_to_p_transform
+from .states import ThermalState, fock_weights, geometric_weights, postselection_cutoff
 from .weakvalues import p2_weak_closed
 
 __all__ = [
@@ -47,7 +48,12 @@ NORMALIZATION_TOL = 1e-10
 #: Fock truncation of a thermal pointer.
 POINTER_TAIL_TOL = 1e-10
 
-OBJECT_GRID = Grid1D(-12.0, 12.0, 4096)
+#: Gauss-Legendre nodes across the postselection bin.
+BIN_NODES = 8
+
+#: Fock orders per block of the simulator's complex stage (bounds memory).
+FOCK_BLOCK = 32
+
 DEFAULT_POINTER_GRID = Grid1D(-80.0, 80.0, 1025)
 DEFAULT_POINTER_WIDTH = 10.0
 
@@ -131,17 +137,9 @@ def pointer_from_components(grid: Grid1D, components) -> PointerState:
 
 
 def gaussian_pointer(grid: Grid1D, width: float) -> PointerState:
-    """Pure real Gaussian pointer with mean 0 and position variance width^2."""
-    if width <= 0.0:
-        raise ValueError("width must be > 0")
-    if grid.min > -6.0 * width or grid.max < 6.0 * width:
-        raise ValueError("grid too narrow: must span at least +-6*width")
-    x = grid.points()
-    amps = (2.0 * math.pi * width * width) ** -0.25 * np.exp(
-        -x * x / (4.0 * width * width)
-    )
-    amps = amps / math.sqrt(np.sum(amps * amps) * grid.spacing)
-    return pointer_from_components(grid, [(1.0, amps)])
+    """Pure real Gaussian pointer with mean 0 and position variance width^2:
+    the ground state of :func:`thermal_pointer` with scale sqrt(2)*width."""
+    return thermal_pointer(grid, 0.0, math.sqrt(2.0) * width)
 
 
 def thermal_pointer(grid: Grid1D, mean_n: float, scale: float) -> PointerState:
@@ -149,9 +147,10 @@ def thermal_pointer(grid: Grid1D, mean_n: float, scale: float) -> PointerState:
     geometric weights.
 
     Component n is psi_n(x/scale)/sqrt(scale), so at mean_n = 0 this is the
-    ground-state Gaussian of position variance scale^2/2, i.e. identical to
-    gaussian_pointer(width = scale/sqrt(2)).  Truncated weights are
-    renormalized to keep the mixture exactly normalized.
+    ground-state Gaussian of position variance scale^2/2.  A component
+    whose discrete norm deviates from 1 by more than 1e-6 (the grid is too
+    narrow or too coarse for the scale) is refused; the others are
+    renormalized on the grid, and the truncated weights to sum to 1.
     """
     if scale <= 0.0:
         raise ValueError("scale must be > 0")
@@ -164,11 +163,12 @@ def thermal_pointer(grid: Grid1D, mean_n: float, scale: float) -> PointerState:
     for n in range(ncut + 1):
         amps = table[n].astype(complex)
         norm = float(np.sum(np.abs(amps) ** 2) * grid.spacing)
-        # A clipped component shows up as a norm deficit.
+        # A component clipped by the grid ends, or one too narrow for its
+        # spacing, shows up as a discrete-norm deviation.
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(
-                f"grid too narrow for scale={scale}: component n={n} has "
-                f"discrete norm {norm!r}"
+                f"grid too narrow or too coarse for scale={scale}: component "
+                f"n={n} has discrete norm {norm!r}"
             )
         amps /= math.sqrt(norm)
         comps.append((float(weights[n]), amps))
@@ -185,16 +185,22 @@ def simulate_weak_p2(
 ) -> SimulationReport:
     """Run the coupled object-pointer protocol and estimate (p^2)_w.
 
-    For each object Fock component: transform to the momentum
-    representation, multiply the exact interaction phase
-    exp(-i g p^2 k) against the pointer momentum representation,
-    transform the object back to position (only the postselection-bin rows
-    are needed) and the pointer back to position, and accumulate the
-    weighted conditional pointer distribution.
+    In the pointer-momentum representation the coupling exp(-i g p^2 k) is
+    free evolution of the object for the time t = 2 g k, under which a Fock
+    state keeps its shape up to a scale, the Gouy phase and a chirp:
 
-    Domain: every Fock component must fit on OBJECT_GRID, which holds up
-    to order 49, i.e. mean_n up to about 1.35; larger occupations are
-    refused with a ValueError.
+        <q|exp(-i g k p^2)|n> = (1+it)^(-1/2) exp(-i n arctan t)
+                                * psi_n(q/sqrt(1+t^2)) exp(i t q^2/(2(1+t^2)))
+
+    so the object side is exact and needs no grid.  Each Fock component,
+    postselected at the BIN_NODES Gauss-Legendre nodes of the bin, is taken
+    back to pointer position with one stacked p_to_q_transform, and the
+    weighted conditional pointer distributions are summed.
+
+    The Fock sum runs to states.postselection_cutoff at |q| + bin_halfwidth.
+    Domain: that order must not exceed MAX_HERMITE_ORDER (1000), which
+    holds up to mean_n = 25 at |q| = 7 and is refused with a ValueError
+    from mean_n = 26 there.
     """
     if pointer.current_density_max >= CURRENT_DENSITY_TOL:
         raise ValueError(
@@ -202,76 +208,44 @@ def simulate_weak_p2(
             f"{pointer.current_density_max:.3e} exceeds {CURRENT_DENSITY_TOL:.0e}"
         )
     sigma = math.sqrt(object_state.sigma2)
-    if cfg.bin_halfwidth > sigma / 10.0:
+    h = cfg.bin_halfwidth
+    if h > sigma / 10.0:
         raise ValueError("bin_halfwidth must be at most sigma/10 of the object")
 
-    grid_span = f"[{OBJECT_GRID.min:g}, {OBJECT_GRID.max:g}]"
-    q = OBJECT_GRID.points()
-    dq = OBJECT_GRID.spacing
-    # Each grid row represents the cell [q_i - dq/2, q_i + dq/2); weight rows
-    # by their fractional overlap with the bin so the effective postselection
-    # window is centered on postselect_q regardless of grid alignment.
-    lo = cfg.postselect_q - cfg.bin_halfwidth
-    hi = cfg.postselect_q + cfg.bin_halfwidth
-    overlap = np.minimum(q + 0.5 * dq, hi) - np.maximum(q - 0.5 * dq, lo)
-    row_weights = np.clip(overlap / dq, 0.0, 1.0)
-    bin_rows = np.nonzero(row_weights > 0.0)[0]
-    if bin_rows.size == 0:
-        raise ValueError(
-            f"postselection bin [{lo:.6g}, {hi:.6g}] lies outside the "
-            f"object grid {grid_span}"
-        )
-    row_weights = row_weights[bin_rows]
+    nodes, node_weights = np.polynomial.legendre.leggauss(BIN_NODES)
+    qb = cfg.postselect_q + h * nodes
+    wb = h * node_weights
+    ncut = postselection_cutoff(object_state, abs(cfg.postselect_q) + h)
+    weights = geometric_weights(object_state.mean_n, ncut)
 
-    mix = fock_weights(object_state)
-    psi_table = hermite_psi_table(mix.truncation, q)
-    # The transforms are unitary and the interaction phase has unit modulus,
-    # so a component clipped by the object grid shows up as a norm deficit.
-    norms = np.sum(psi_table * psi_table, axis=1) * dq
-    clipped = np.nonzero(np.abs(norms - 1.0) > NORMALIZATION_TOL)[0]
-    if clipped.size:
-        n = int(clipped[0])
-        raise ValueError(
-            f"mean_n={object_state.mean_n:g} needs Fock order {mix.truncation}, "
-            f"but order {n} is clipped by the object grid {grid_span} "
-            f"(discrete norm {float(norms[n])!r})"
-        )
-
-    # Pointer momentum representation, once per mixture component.
+    # Pointer momentum representation, once per mixture component, taken
+    # about the grid centre: p_to_q_transform returns to the zero-centred
+    # conjugate grid, which is then the pointer grid shifted by its centre.
     xg = pointer.grid
-    x = xg.points()
-    dx = xg.spacing
+    centre = 0.5 * (xg.min + xg.max)
     pointer_k = []
-    kgrid = None
     for weight, amps in pointer.components:
         phi_k, kgrid = q_to_p_transform(amps, xg)
-        pointer_k.append((weight, phi_k))
-    k = kgrid.points()
-    dk = kgrid.spacing
+        pointer_k.append((weight, phi_k * np.exp(1j * centre * kgrid.points())))
+    t = 2.0 * cfg.g * kgrid.points()
+    stretch = 1.0 + t * t
 
-    # Pointer momentum -> position kernel (needed on bin rows only).
-    back_x = np.exp(1.0j * np.outer(k, x)) * (dk / math.sqrt(2.0 * math.pi))
-    # Interaction phase on the (p, k) product grid, exact, not perturbative;
-    # and the object back-transform restricted to the postselection-bin rows.
-    pgrid = OBJECT_GRID.conjugate()
-    p = pgrid.points()
-    dp = pgrid.spacing
-    phase = np.exp(-1.0j * cfg.g * np.outer(p * p, k))
-    back_q = np.exp(1.0j * np.outer(q[bin_rows], p)) * (dp / math.sqrt(2.0 * math.pi))
+    # Object amplitudes at the bin nodes (rows) for every pointer momentum.
+    table = hermite_psi_table(ncut, np.ravel(qb[:, None] / np.sqrt(stretch)))
+    table = table.reshape(ncut + 1, BIN_NODES, kgrid.count)
+    chirp = np.exp(0.5j * t * qb[:, None] ** 2 / stretch) / np.sqrt(1.0 + 1.0j * t)
+    gouy = np.arctan(t)
 
     cond = np.zeros(xg.count)
-    for n in range(mix.truncation + 1):
-        psi_p, _ = q_to_p_transform(psi_table[n].astype(complex), OBJECT_GRID)
-        bin_pk = (back_q * psi_p[None, :]) @ phase  # rows x k
+    for first in range(0, ncut + 1, FOCK_BLOCK):
+        n = np.arange(first, min(first + FOCK_BLOCK, ncut + 1))
+        amps = table[n] * chirp * np.exp(-1j * n[:, None, None] * gouy)
+        rows = weights[n, None] * wb
         for weight, phi_k in pointer_k:
-            psi_qx = (bin_pk * phi_k[None, :]) @ back_x  # rows x x
-            cond += (
-                mix.weights[n]
-                * weight
-                * (row_weights[:, None] * np.abs(psi_qx) ** 2).sum(axis=0)
-                * dq
-            )
+            psi_x, _ = p_to_q_transform(amps * phi_k, kgrid)
+            cond += weight * np.einsum("nj,njx->x", rows, np.abs(psi_x) ** 2)
 
+    x, dx = xg.points(), xg.spacing
     total_prob = float(np.sum(cond) * dx)
     if total_prob < 1e-12:
         raise ValueError(

@@ -119,9 +119,10 @@ def integrate(samples, grid: Grid1D):
 
 def _check_field(field, grid: Grid1D) -> np.ndarray:
     field = np.asarray(field, dtype=complex)
-    if field.ndim != 1 or field.size != grid.count:
+    if field.ndim == 0 or field.shape[-1] != grid.count:
         raise ValueError(
-            f"field length {field.size} does not match grid count {grid.count}"
+            f"field shape {field.shape} does not match grid count {grid.count} "
+            "on its last axis"
         )
     return field
 
@@ -133,6 +134,8 @@ def q_to_p_transform(field, grid: Grid1D):
     psi~(p_j) = dq/sqrt(2*pi) * sum_k psi(q_k) exp(-i p_j q_k).
     Because dp*dq = 2*pi/N the discrete map is exactly unitary:
     sum |psi~|^2 dp = sum |psi|^2 dq and the round trip is exact.
+    The transform acts on the last axis, so a stack of fields (shape
+    (..., grid.count)) is transformed row by row in one call.
     """
     field = _check_field(field, grid)
     pgrid = grid.conjugate()
@@ -147,7 +150,8 @@ def q_to_p_transform(field, grid: Grid1D):
 
 
 def p_to_q_transform(field, pgrid: Grid1D):
-    """Inverse of :func:`q_to_p_transform` (kernel exp(+i*q*p))."""
+    """Inverse of :func:`q_to_p_transform` (kernel exp(+i*q*p)), also
+    acting on the last axis."""
     field = _check_field(field, pgrid)
     qgrid = pgrid.conjugate()
     n = pgrid.count

@@ -20,12 +20,17 @@ __all__ = [
     "wien_peak_occupation",
     "geometric_weights",
     "fock_weights",
+    "postselection_cutoff",
     "q_marginal_pdf",
 ]
 
 # CODATA 2018 / SI 2019 exact values, J*s and J/K.
 HBAR = 1.054571817e-34
 K_BOLTZMANN = 1.380649e-23
+
+#: Weight-based Fock truncation of routes postselected on a quadrature
+#: value, before :func:`postselection_cutoff` extends it.
+POSTSELECTION_TAIL_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,22 @@ def fock_weights(state: ThermalState, tail_tol: float = 1e-12) -> FockMixture:
     ratio = nbar / (1.0 + nbar)
     ncut = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
     return FockMixture(geometric_weights(nbar, ncut), ncut)
+
+
+def postselection_cutoff(state: ThermalState, q: float) -> int:
+    """Fock order up to which a route postselected at |q| sums.
+
+    The weight-based truncation at POSTSELECTION_TAIL_TOL alone would lose
+    relative accuracy at large |q|: there the low-n eigenfunctions are
+    exponentially suppressed while those near the classical turning point
+    n ~ q^2/2 are not, and they dominate the small conditioning density.
+    So the cutoff is extended past that turning point (the vacuum has a
+    single component and needs none).
+    """
+    ncut = fock_weights(state, POSTSELECTION_TAIL_TOL).truncation
+    if state.mean_n > 0.0:
+        ncut += math.ceil(0.5 * q * q) + 10
+    return ncut
 
 
 def q_marginal_pdf(state: ThermalState, q):

@@ -21,7 +21,12 @@ from scipy.integrate import quad
 
 from .numerics import Grid1D, erfc, hermite_psi_table, integrate
 from .quasiprob import s_closed
-from .states import ThermalState, fock_weights, geometric_weights, q_marginal_pdf
+from .states import (
+    ThermalState,
+    geometric_weights,
+    postselection_cutoff,
+    q_marginal_pdf,
+)
 
 __all__ = [
     "WeakValueCurve",
@@ -42,9 +47,6 @@ MAX_MOMENT_ORDER = 8
 #: in standard deviations of the p-marginal.
 MOMENT_POINTS = 8001
 MOMENT_EXTENT = 16.0
-
-#: Weight-based Fock truncation of the energy route, before its extension.
-HAMILTONIAN_TAIL_TOL = 1e-16
 
 #: Conditioning probability density below which a weak value is refused
 #: instead of clamped (the postselection outcome is out of support).
@@ -112,14 +114,7 @@ def hamiltonian_weak(state: ThermalState, q: float) -> float:
     Fock route: <q|rho H|q> = sum_n rho_n (n+1/2) psi_n(q)^2.  Satisfies
     2*H_w(q) - q^2 = (p^2)_w(q).
     """
-    ncut = fock_weights(state, HAMILTONIAN_TAIL_TOL).truncation
-    # At large |q| the low-n eigenfunctions are exponentially suppressed
-    # while higher-n ones are not, so the weight-based truncation alone
-    # would lose relative accuracy in the tiny denominator.  Extend the
-    # cutoff past the classical turning point of the postselection value
-    # (the vacuum has a single component and needs none).
-    if state.mean_n > 0.0:
-        ncut += math.ceil(0.5 * q * q) + 10
+    ncut = postselection_cutoff(state, q)
     weights = geometric_weights(state.mean_n, ncut)
     psi_q = hermite_psi_table(ncut, q)[:, 0]
     terms = weights * psi_q * psi_q

@@ -182,17 +182,39 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == "error: bin_halfwidth must be > 0\n"
 
-    def test_occupation_beyond_object_grid_refused(self, capsys):
-        code, out, err = run(capsys, "simulate", "--mean-n", "2", "--q", "3")
+    def test_occupation_beyond_hermite_order_refused(self, capsys):
+        # At q = 7 the Fock cutoff reaches order 975 at mean_n = 25 and 1012
+        # at mean_n = 26, past the Hermite-table guard of 1000.
+        code, out, _ = run(capsys, "simulate", "--mean-n", "25", "--q", "7")
+        assert code == 0
+        code, out, err = run(capsys, "simulate", "--mean-n", "26", "--q", "7")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-        assert "object grid [-12, 12]" in err and "Traceback" not in err
+        assert "1000" in err and "Traceback" not in err
 
-    def test_postselection_beyond_object_grid_refused(self, capsys):
+    def test_far_postselection_refused(self, capsys):
         code, out, err = run(capsys, "simulate", "--mean-n", "0", "--q", "13")
         assert code == 2 and out == ""
-        assert err.startswith("error: postselection bin")
-        assert "object grid [-12, 12]" in err
+        assert err.startswith("error: insufficient statistics")
+
+    def test_pointer_narrower_than_grid_spacing_refused(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--mean-n", "0", "--q", "2", "--pointer-width", "0.001"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid too narrow or too coarse")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_cutoff_follows_postselection_point(self, capsys):
+        # Near q = 6 the Fock components around n ~ q^2/2 dominate, beyond
+        # the weight-based cutoff.  The target is the parabola averaged over
+        # the default bin with the q-marginal as weight, -12.9462965; the
+        # point value -12.95 lies 3.7e-3 from it because of the bin's width.
+        code, out, _ = run(capsys, "simulate", "--mean-n", "0.3", "--q", "6")
+        assert code == 0
+        rep = json.loads(out)["data"][0]
+        assert rep["estimated_weak_value"] == pytest.approx(-12.9462965, abs=1e-3)
+        assert rep["analytic_weak_value"] == pytest.approx(-12.95, abs=1e-12)
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from thermalweak import (
     CouplingConfig,
@@ -133,13 +134,21 @@ class TestSimulateWeakP2:
         with pytest.raises(ValueError, match="sigma/10"):
             simulate_weak_p2(vac, wide_pointer, cfg)
 
-    def test_fock_order_clipped_by_object_grid(self, wide_pointer):
-        # mean_n = 1.5 needs Fock order 54; order 50 already loses 1.8e-10
-        # of its norm beyond |q| = 12.
-        st = thermal_from_mean_n(1.5)
-        cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(st))
-        with pytest.raises(ValueError, match=r"order 50 is clipped by the object grid"):
-            simulate_weak_p2(st, wide_pointer, cfg)
+    @pytest.mark.parametrize("nbar, q", [(1.5, 2.0), (2.0, 3.0)])
+    def test_large_occupation_matches_parabola(self, wide_pointer, nbar, q):
+        # These occupations sum Fock orders up to 85 and 105.
+        st = thermal_from_mean_n(nbar)
+        cfg = CouplingConfig(0.01, q, default_bin_halfwidth(st))
+        rep = simulate_weak_p2(st, wide_pointer, cfg)
+        assert rep.residual < 1e-3
+
+    def test_off_centre_pointer_grid(self, wide_pointer):
+        st = thermal_from_mean_n(0.3)
+        cfg = CouplingConfig(0.01, 2.5, default_bin_halfwidth(st))
+        shifted = gaussian_pointer(Grid1D(-70.3, 99.7, 1089), 10.0)
+        a = simulate_weak_p2(st, wide_pointer, cfg).estimated_weak_value
+        b = simulate_weak_p2(st, shifted, cfg).estimated_weak_value
+        assert b == pytest.approx(a, abs=1e-9)
 
     def test_answers_below_object_grid_limit(self, wide_pointer):
         # mean_n = 1.3 needs Fock order 48, which still fits the object grid.
@@ -147,6 +156,61 @@ class TestSimulateWeakP2:
         cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(st))
         rep = simulate_weak_p2(st, wide_pointer, cfg)
         assert rep.residual < 0.05 * abs(rep.analytic_weak_value)
+
+
+def bin_average_p2(nbar, q, h):
+    """(p^2)_w averaged over [q-h, q+h] with the Gaussian q-marginal as
+    weight, from the truncated-Gaussian moments (standard library only)."""
+    s2 = nbar + 0.5
+    c = math.sqrt(2.0 * s2)
+    # The average is even in q; on the positive side the erfc difference
+    # keeps its relative accuracy in the tail.
+    lo, hi = abs(q) - h, abs(q) + h
+    mass = 0.5 * (math.erfc(lo / c) - math.erfc(hi / c))
+    pdf = lambda x: math.exp(-x * x / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
+    q2 = s2 - s2 * (hi * pdf(hi) - lo * pdf(lo)) / mass
+    return (s2 + 4.0 * s2**3 - q2) / (4.0 * s2 * s2)
+
+
+def richardson(state, pointer, q):
+    """One Richardson step on the weak-limit bias, which is of order g^2."""
+    h = default_bin_halfwidth(state)
+    est = [
+        simulate_weak_p2(state, pointer, CouplingConfig(g, q, h)).estimated_weak_value
+        for g in (0.01, 0.005)
+    ]
+    return (4.0 * est[1] - est[0]) / 3.0
+
+
+def oracle_tol(nbar, q):
+    s2 = nbar + 0.5
+    return 1e-8 * (s2 + 4.0 * s2**3 + q * q) / (4.0 * s2 * s2)
+
+
+class TestBinAverageOracle:
+    """The extrapolated simulator estimate against the bin average of the
+    closed-form parabola, computed apart from the program."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nbar=strategies.floats(0.0, 10.0),
+        u=strategies.floats(-4.0, 4.0),
+    )
+    def test_gaussian_pointer(self, wide_pointer, nbar, u):
+        state = thermal_from_mean_n(nbar)
+        q = u * math.sqrt(state.sigma2)
+        ref = bin_average_p2(nbar, q, default_bin_halfwidth(state))
+        assert abs(richardson(state, wide_pointer, q) - ref) < oracle_tol(nbar, q)
+
+    @pytest.mark.parametrize(
+        "nbar, q",
+        [(0.0, 2.0), (0.01, 1.2 * math.sqrt(0.51 + 4.0 * 0.51**3)), (0.3, 2.5)],
+    )
+    def test_thermal_pointer(self, nbar, q):
+        state = thermal_from_mean_n(nbar)
+        pointer = thermal_pointer(DEFAULT_POINTER_GRID, 0.3, 10.0)
+        ref = bin_average_p2(nbar, q, default_bin_halfwidth(state))
+        assert abs(richardson(state, pointer, q) - ref) < oracle_tol(nbar, q)
 
 
 class TestConvergenceSweep:

@@ -161,6 +161,26 @@ class TestTransforms:
         rhs = np.sum(np.abs(psi) ** 2) * grid.spacing
         assert abs(lhs - rhs) < 1e-10
 
+    def test_stacked_fields(self):
+        grid = DEFAULT_TEST_GRID
+        q = grid.points()
+        stack = np.array(
+            [
+                [np.exp(-0.5 * (q - a) ** 2 + 1j * b * q) for b in (0.0, 0.7)]
+                for a in (-1.0, 0.4, 2.0)
+            ]
+        )
+        fwd, pgrid = q_to_p_transform(stack, grid)
+        back, _ = p_to_q_transform(fwd, pgrid)
+        assert fwd.shape == back.shape == stack.shape
+        for i, j in np.ndindex(stack.shape[:2]):
+            row_fwd, _ = q_to_p_transform(stack[i, j], grid)
+            row_back, _ = p_to_q_transform(fwd[i, j], pgrid)
+            np.testing.assert_allclose(fwd[i, j], row_fwd, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(back[i, j], row_back, rtol=0, atol=1e-14)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             q_to_p_transform(np.ones(5, dtype=complex), DEFAULT_TEST_GRID)
+        with pytest.raises(ValueError):
+            p_to_q_transform(np.ones((1537, 5), dtype=complex), DEFAULT_TEST_GRID)
