@@ -8,11 +8,11 @@ mean_n < 1.  A 100 kHz oscillator at 1 microkelvin lands in the same regime.
 
 import math
 
-from thermalweak import BlackbodyMode, occupation_number, thermal_from_mean_n, wien_peak_occupation
+from thermalweak import BlackbodyMode, ThermalState, occupation_number, wien_peak_occupation
 
 for convention in ("wavelength-peak", "frequency-peak"):
     mean_n = wien_peak_occupation(convention)
-    state = thermal_from_mean_n(mean_n)
+    state = ThermalState(mean_n)
     print(f"{convention:16}: mean_n = {mean_n:.6e}, sigma^2 = {state.sigma2:.6f}")
 
 mode = BlackbodyMode(angular_frequency=2.0 * math.pi * 1e5, temperature=1e-6)

@@ -8,14 +8,13 @@ occupation 1 the negativity has practically disappeared.
 
 import numpy as np
 
-from thermalweak import Grid1D, eval_grid, thermal_from_mean_n
+from thermalweak import Grid1D, ThermalState, eval_grid
 
 grid = Grid1D(-6.0, 6.0, 481)
 
 for mean_n in (0.01, 1.0):
-    state = thermal_from_mean_n(mean_n)
-    field = eval_grid(state, grid, grid, "margenau-hill")
-    values = field.values.real
+    state = ThermalState(mean_n)
+    values = eval_grid(state, grid, grid, "margenau-hill")
     i, j = np.unravel_index(np.argmin(values), values.shape)
     q = grid.points()
     print(f"mean_n = {mean_n}")

@@ -9,19 +9,19 @@ threshold for a nearly-vacuum thermal state.
 
 from thermalweak import (
     CouplingConfig,
+    ThermalState,
     convergence_sweep,
     default_bin_halfwidth,
     gaussian_pointer,
     negativity_threshold,
     simulate_weak_p2,
-    thermal_from_mean_n,
 )
 from thermalweak.measurement import DEFAULT_POINTER_GRID
 
 pointer = gaussian_pointer(DEFAULT_POINTER_GRID, 10.0)
 
 print("vacuum, postselect at q = 2 (analytic weak value -3):")
-vacuum = thermal_from_mean_n(0.0)
+vacuum = ThermalState(0.0)
 for report in convergence_sweep(vacuum, pointer, 2.0, [0.2, 0.1, 0.05, 0.01]):
     print(
         f"  g = {report.g_used:5.2f}  estimate = {report.estimated_weak_value:9.5f}"
@@ -29,7 +29,7 @@ for report in convergence_sweep(vacuum, pointer, 2.0, [0.2, 0.1, 0.05, 0.01]):
         f"  P(postselect) = {report.postselect_probability:.3e}"
     )
 
-state = thermal_from_mean_n(0.01)
+state = ThermalState(0.01)
 q = 1.2 * negativity_threshold(state)
 cfg = CouplingConfig(g=0.01, postselect_q=q, bin_halfwidth=default_bin_halfwidth(state))
 report = simulate_weak_p2(state, pointer, cfg)

@@ -7,11 +7,11 @@ steeply, so the effect is observable essentially only for mean_n < 1.
 
 import numpy as np
 
-from thermalweak import negativity_probability, negativity_stats, thermal_from_mean_n
+from thermalweak import ThermalState, negativity_probability, negativity_threshold
 
 print(f"{'mean_n':>7} {'threshold_q':>12} {'P(closed)':>12} {'P(quadrature)':>14}")
 for mean_n in np.linspace(0.0, 1.0, 11):
-    state = thermal_from_mean_n(mean_n)
-    stats = negativity_stats(state)
+    state = ThermalState(mean_n)
+    closed = negativity_probability(state, "closed")
     quad = negativity_probability(state, "quadrature")
-    print(f"{mean_n:7.2f} {stats.threshold_q:12.6f} {stats.probability:12.6e} {quad:14.6e}")
+    print(f"{mean_n:7.2f} {negativity_threshold(state):12.6f} {closed:12.6e} {quad:14.6e}")

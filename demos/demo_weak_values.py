@@ -10,15 +10,15 @@ against the energy route 2 H_w(q) - q^2.
 import numpy as np
 
 from thermalweak import (
+    ThermalState,
     classical_weak_value_p2,
     hamiltonian_weak,
     moment_weak_integral,
     negativity_threshold,
     p2_weak_closed,
-    thermal_from_mean_n,
 )
 
-state = thermal_from_mean_n(0.01)
+state = ThermalState(0.01)
 threshold = negativity_threshold(state)
 print(f"mean_n = {state.mean_n}, sigma^2 = {state.sigma2}")
 print(f"weak value turns negative beyond |q| = {threshold:.6f}")

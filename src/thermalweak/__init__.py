@@ -3,9 +3,7 @@ values for single-mode thermal radiation, with a weak-measurement
 simulator and a data-export CLI."""
 
 from .numerics import (
-    DEFAULT_TEST_GRID,
     Grid1D,
-    erfc,
     hermite_psi,
     hermite_psi_table,
     integrate,
@@ -16,17 +14,14 @@ from .states import (
     HBAR,
     K_BOLTZMANN,
     BlackbodyMode,
-    FockMixture,
     ThermalState,
-    fock_weights,
+    fock_cutoff,
     geometric_weights,
     occupation_number,
     q_marginal_pdf,
-    thermal_from_mean_n,
     wien_peak_occupation,
 )
 from .quasiprob import (
-    ComplexPhaseField,
     eval_grid,
     kirkwood,
     margenau_hill,
@@ -35,13 +30,10 @@ from .quasiprob import (
     s_oracle_pintegral,
 )
 from .weakvalues import (
-    NegativityStats,
-    WeakValueCurve,
     classical_weak_value_p2,
     hamiltonian_weak,
     moment_weak_integral,
     negativity_probability,
-    negativity_stats,
     negativity_threshold,
     p2_weak_closed,
     p2_weak_curve,

@@ -20,9 +20,9 @@ from . import __version__
 from .numerics import Grid1D
 from .states import (
     BlackbodyMode,
+    ThermalState,
     occupation_number,
     q_marginal_pdf,
-    thermal_from_mean_n,
     wien_peak_occupation,
 )
 from .quasiprob import eval_grid, s_closed, s_oracle_fock, s_oracle_pintegral
@@ -82,11 +82,10 @@ def _emit_json(meta, data, out_path):
 
 
 def cmd_mh_grid(args) -> int:
-    state = thermal_from_mean_n(args.mean_n)
+    state = ThermalState(args.mean_n)
     qgrid = Grid1D(args.qmin, args.qmax, args.count)
     pgrid = Grid1D(args.pmin, args.pmax, args.count)
-    field = eval_grid(state, qgrid, pgrid, "margenau-hill")
-    values = np.real(field.values)
+    values = eval_grid(state, qgrid, pgrid, "margenau-hill")
     imin = np.unravel_index(np.argmin(values), values.shape)
     meta = {
         "subcommand": "mh-grid",
@@ -97,19 +96,19 @@ def cmd_mh_grid(args) -> int:
         "argmin": f"q={_fmt(qgrid.points()[imin[0]])} p={_fmt(pgrid.points()[imin[1]])}",
     }
     if args.format == "json":
-        _emit_json(meta, {"values": [[float(v) for v in row] for row in values]}, args.out)
+        _emit_json(meta, {"values": values.tolist()}, args.out)
         return 0
     lines = ["q,p,value"]
-    qs, ps = qgrid.points(), pgrid.points()
-    for i, qv in enumerate(qs):
-        for j, pv in enumerate(ps):
-            lines.append(f"{_fmt(qv)},{_fmt(pv)},{_fmt(values[i, j])}")
+    p_texts = [_fmt(pv) for pv in pgrid.points()]
+    for qv, row in zip(qgrid.points(), values.tolist()):
+        q_text = _fmt(qv)
+        lines.extend(f"{q_text},{p_text},{v:.12g}" for p_text, v in zip(p_texts, row))
     _emit(lines, args.out, args.no_header, meta)
     return 0
 
 
 def cmd_weakvalue_curve(args) -> int:
-    state = thermal_from_mean_n(args.mean_n)
+    state = ThermalState(args.mean_n)
     qgrid = Grid1D(args.qmin, args.qmax, args.count)
     thr = negativity_threshold(state)
     methods = (
@@ -125,17 +124,16 @@ def cmd_weakvalue_curve(args) -> int:
         "threshold_q": _fmt(thr),
         "methods": ";".join(methods),
     }
-    cols = ["q"] + [c.method for c in curves] + ["outside_threshold"]
     if args.format == "json":
         data = {
-            "q": [float(v) for v in qgrid.points()],
-            **{c.method: [float(v) for v in c.values] for c in curves},
+            "q": qgrid.points().tolist(),
+            **{m: c.tolist() for m, c in zip(methods, curves)},
         }
         _emit_json(meta, data, args.out)
         return 0
-    lines = [",".join(cols)]
+    lines = [",".join(["q", *methods, "outside_threshold"])]
     for i, qv in enumerate(qgrid.points()):
-        row = [_fmt(qv)] + [_fmt(c.values[i]) for c in curves]
+        row = [_fmt(qv)] + [_fmt(c[i]) for c in curves]
         row.append("1" if abs(qv) >= thr else "0")
         lines.append(",".join(row))
     _emit(lines, args.out, args.no_header, meta)
@@ -148,17 +146,13 @@ def cmd_negativity_prob(args) -> int:
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     grid = np.linspace(args.mean_n_min, args.mean_n_max, args.steps)
-    probs = [negativity_probability(thermal_from_mean_n(n), "closed") for n in grid]
+    probs = [negativity_probability(ThermalState(n), "closed") for n in grid]
     meta = {
         "subcommand": "negativity-prob",
         "range": f"[{_fmt(args.mean_n_min)}, {_fmt(args.mean_n_max)}] x {args.steps}",
     }
     if args.format == "json":
-        _emit_json(
-            meta,
-            {"mean_n": [float(v) for v in grid], "probability": [float(v) for v in probs]},
-            args.out,
-        )
+        _emit_json(meta, {"mean_n": grid.tolist(), "probability": probs}, args.out)
         return 0
     lines = ["mean_n,probability"]
     for n, prob in zip(grid, probs):
@@ -205,7 +199,7 @@ def _report_dict(rep):
 
 
 def cmd_simulate(args) -> int:
-    state = thermal_from_mean_n(args.mean_n)
+    state = ThermalState(args.mean_n)
     pointer = _build_pointer(args)
     bw = default_bin_halfwidth(state) if args.bin_halfwidth is None else args.bin_halfwidth
     if args.g_sweep:
@@ -228,7 +222,7 @@ def _verify_checks(rng):
     # Closed form against the Fock-sum oracle.
     err = 0.0
     for _ in range(40):
-        state = thermal_from_mean_n(rng.uniform(0.0, 2.0))
+        state = ThermalState(rng.uniform(0.0, 2.0))
         q, p = rng.uniform(-5.0, 5.0, size=2)
         err = max(err, abs(s_closed(state, q, p) - s_oracle_fock(state, q, p)))
     yield "s_closed_vs_fock_oracle", err, 1e-8
@@ -236,7 +230,7 @@ def _verify_checks(rng):
     # Closed form against the P-integral oracle.
     err = 0.0
     for nbar in (0.01, 0.5, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         for q, p in ((0.0, 0.0), (1.0, -2.0), (2.0, 2.0)):
             err = max(err, abs(s_closed(state, q, p) - s_oracle_pintegral(state, q, p)))
     yield "s_closed_vs_pintegral_oracle", err, 1e-6
@@ -244,7 +238,7 @@ def _verify_checks(rng):
     # Conditional-moment integral against the closed-form weak value.
     err = 0.0
     for nbar in (0.0, 0.01, 0.3, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         for q in np.linspace(-5.0, 5.0, 11):
             err = max(
                 err, abs(moment_weak_integral(state, 2, q) - p2_weak_closed(state, q))
@@ -254,7 +248,7 @@ def _verify_checks(rng):
     # Energy-route identity 2*H_w - q^2 = (p^2)_w.
     err = 0.0
     for nbar in (0.0, 0.01, 0.3, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         for q in np.linspace(-5.0, 5.0, 11):
             err = max(
                 err,
@@ -265,7 +259,7 @@ def _verify_checks(rng):
     # Closed-form negativity probability against tail quadrature.
     err = 0.0
     for nbar in np.linspace(0.0, 2.0, 9):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         err = max(
             err,
             abs(
@@ -278,7 +272,7 @@ def _verify_checks(rng):
     # Marginal of S over p against the Gaussian marginal.
     err = 0.0
     for nbar in (0.01, 0.5, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         sig = math.sqrt(state.sigma2)
         pgrid = Grid1D(-8.0 * sig, 8.0 * sig, 801)
         p = pgrid.points()
@@ -290,7 +284,7 @@ def _verify_checks(rng):
     # Normalization of S over the plane.
     err = 0.0
     for nbar in (0.01, 0.5, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         sig = math.sqrt(state.sigma2)
         grid = Grid1D(-8.0 * sig, 8.0 * sig, 801)
         v = grid.points()
@@ -303,9 +297,15 @@ def _verify_checks(rng):
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(20060101)
+    results = list(_verify_checks(np.random.default_rng(20060101)))
+    names = [name for name, _, _ in results]
+    if args.inject_fault is not None and args.inject_fault not in names:
+        raise ValueError(
+            f"unknown check {args.inject_fault!r} for --inject-fault; "
+            f"expected one of: {', '.join(names)}"
+        )
     failed = []
-    for name, err, tol in _verify_checks(rng):
+    for name, err, tol in results:
         if args.inject_fault == name:
             err = err + 10.0 * tol
         ok = err < tol
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

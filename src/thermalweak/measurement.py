@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Grid1D, hermite_psi_table, p_to_q_transform, q_to_p_transform
-from .states import ThermalState, fock_weights, geometric_weights, postselection_cutoff
+from .states import ThermalState, fock_cutoff, geometric_weights, postselection_cutoff
 from .weakvalues import p2_weak_closed
 
 __all__ = [
@@ -154,11 +154,11 @@ def thermal_pointer(grid: Grid1D, mean_n: float, scale: float) -> PointerState:
     """
     if scale <= 0.0:
         raise ValueError("scale must be > 0")
-    mix = fock_weights(ThermalState(mean_n), POINTER_TAIL_TOL)
-    ncut = mix.truncation
-    weights = mix.weights / mix.weights.sum()
-    x = grid.points()
-    table = hermite_psi_table(ncut, x / scale) / math.sqrt(scale)
+    state = ThermalState(mean_n)
+    ncut = fock_cutoff(state, POINTER_TAIL_TOL)
+    table = hermite_psi_table(ncut, grid.points() / scale) / math.sqrt(scale)
+    weights = geometric_weights(state.mean_n, ncut)
+    weights /= weights.sum()
     comps = []
     for n in range(ncut + 1):
         amps = table[n].astype(complex)
@@ -216,7 +216,6 @@ def simulate_weak_p2(
     qb = cfg.postselect_q + h * nodes
     wb = h * node_weights
     ncut = postselection_cutoff(object_state, abs(cfg.postselect_q) + h)
-    weights = geometric_weights(object_state.mean_n, ncut)
 
     # Pointer momentum representation, once per mixture component, taken
     # about the grid centre: p_to_q_transform returns to the zero-centred
@@ -233,6 +232,7 @@ def simulate_weak_p2(
     # Object amplitudes at the bin nodes (rows) for every pointer momentum.
     table = hermite_psi_table(ncut, np.ravel(qb[:, None] / np.sqrt(stretch)))
     table = table.reshape(ncut + 1, BIN_NODES, kgrid.count)
+    weights = geometric_weights(object_state.mean_n, ncut)
     chirp = np.exp(0.5j * t * qb[:, None] ** 2 / stretch) / np.sqrt(1.0 + 1.0j * t)
     gouy = np.arctan(t)
 

@@ -17,15 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 __all__ = [
     "MAX_HERMITE_ORDER",
-    "DEFAULT_TEST_GRID",
     "Grid1D",
     "hermite_psi",
     "hermite_psi_table",
-    "erfc",
     "integrate",
     "q_to_p_transform",
     "p_to_q_transform",
@@ -65,11 +62,6 @@ class Grid1D:
         return Grid1D(-half, half, self.count)
 
 
-#: Default grid for unit tests: wide and fine enough for Fock states up to
-#: n ~ 60 and for accurate Fourier round trips.
-DEFAULT_TEST_GRID = Grid1D(-12.0, 12.0, 1537)
-
-
 def hermite_psi(n: int, q):
     """Normalized harmonic-oscillator eigenfunction psi_n(q): row n of
     :func:`hermite_psi_table`.  Accepts scalar or array q."""
@@ -99,12 +91,6 @@ def hermite_psi_table(nmax: int, q) -> np.ndarray:
             (k - 1) / k
         ) * table[k - 2]
     return table
-
-
-def erfc(x):
-    """Complementary error function (scalar in, scalar out; arrays pass through)."""
-    out = _erfc(x)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def integrate(samples, grid: Grid1D):

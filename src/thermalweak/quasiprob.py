@@ -16,16 +16,13 @@ either route cannot go unnoticed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Grid1D, hermite_psi_table, integrate
-from .states import ThermalState, fock_weights
+from .states import ThermalState, fock_cutoff, geometric_weights
 
 __all__ = [
-    "ComplexPhaseField",
-    "FIELD_LABELS",
     "s_closed",
     "margenau_hill",
     "kirkwood",
@@ -34,36 +31,10 @@ __all__ = [
     "eval_grid",
 ]
 
-FIELD_LABELS = ("standard-ordered", "kirkwood", "margenau-hill")
-
 #: Trapezoid grid of the P-distribution oracle, per axis: points, and
 #: half-width in standard deviations of the Gaussian integrand.
 PINTEGRAL_POINTS = 801
 PINTEGRAL_EXTENT = 8.0
-
-
-@dataclass(frozen=True)
-class ComplexPhaseField:
-    """Dense evaluation of a phase-space distribution on a (q,p) grid.
-
-    ``values[i, j]`` is the value at (qgrid.points()[i], pgrid.points()[j]).
-    For the "margenau-hill" label only the real part is stored.
-    """
-
-    qgrid: Grid1D
-    pgrid: Grid1D
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.label not in FIELD_LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        vals = np.asarray(self.values)
-        if vals.shape != (self.qgrid.count, self.pgrid.count):
-            raise ValueError("values shape must be (qgrid.count, pgrid.count)")
-        if not np.all(np.isfinite(vals.view(float))):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 def s_closed(state: ThermalState, q, p):
@@ -95,11 +66,11 @@ def s_oracle_fock(state: ThermalState, q: float, p: float) -> complex:
     <q|rho|p> = sum_n rho_n psi_n(q) * conj((-i)^n psi_n(p)) and
     S = conj(<q|rho|p> <p|q>) with <p|q> = exp(-i*p*q)/sqrt(2*pi).
     """
-    mix = fock_weights(state)
-    n = np.arange(mix.truncation + 1)
-    psi_q = hermite_psi_table(mix.truncation, q)[:, 0]
-    psi_p = hermite_psi_table(mix.truncation, p)[:, 0]
-    rho_qp = np.sum(mix.weights * psi_q * (1.0j**n) * psi_p)
+    ncut = fock_cutoff(state)
+    n = np.arange(ncut + 1)
+    psi_q = hermite_psi_table(ncut, q)[:, 0]
+    psi_p = hermite_psi_table(ncut, p)[:, 0]
+    rho_qp = np.sum(geometric_weights(state.mean_n, ncut) * psi_q * (1.0j**n) * psi_p)
     braket_pq = np.exp(-1.0j * p * q) / math.sqrt(2.0 * math.pi)
     return complex(np.conj(rho_qp * braket_pq))
 
@@ -146,15 +117,20 @@ def s_oracle_pintegral(state: ThermalState, q: float, p: float) -> complex:
 
 def eval_grid(
     state: ThermalState, qgrid: Grid1D, pgrid: Grid1D, which: str = "margenau-hill"
-) -> ComplexPhaseField:
-    """Dense evaluation of the selected distribution on the product grid."""
-    if which not in FIELD_LABELS:
-        raise ValueError(f"unknown label {which!r}; expected one of {FIELD_LABELS}")
-    qq = qgrid.points()[:, None]
-    pp = pgrid.points()[None, :]
-    vals = s_closed(state, qq, pp)
+) -> np.ndarray:
+    """Dense evaluation of the selected distribution on the product grid.
+
+    ``out[i, j]`` is the value at (qgrid.points()[i], pgrid.points()[j]):
+    real for "margenau-hill", complex for "standard-ordered" and "kirkwood".
+    """
+    labels = ("standard-ordered", "kirkwood", "margenau-hill")
+    if which not in labels:
+        raise ValueError(f"unknown label {which!r}; expected one of {labels}")
+    vals = s_closed(state, qgrid.points()[:, None], pgrid.points()[None, :])
     if which == "kirkwood":
         vals = np.conj(vals)
     elif which == "margenau-hill":
-        vals = np.real(vals).astype(complex)
-    return ComplexPhaseField(qgrid, pgrid, vals, which)
+        vals = np.real(vals)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    return vals

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,13 +13,11 @@ __all__ = [
     "HBAR",
     "K_BOLTZMANN",
     "ThermalState",
-    "FockMixture",
     "BlackbodyMode",
-    "thermal_from_mean_n",
     "occupation_number",
     "wien_peak_occupation",
     "geometric_weights",
-    "fock_weights",
+    "fock_cutoff",
     "postselection_cutoff",
     "q_marginal_pdf",
 ]
@@ -38,32 +36,19 @@ class ThermalState:
     """Single-mode thermal state parameterized by the mean photon number.
 
     The quadrature variance is tied to it exactly: sigma2 = mean_n + 1/2.
+    ``mean_n`` is stored as a Python float.
     """
 
     mean_n: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mean_n", float(self.mean_n))
         if not (math.isfinite(self.mean_n) and self.mean_n >= 0.0):
             raise ValueError("mean_n must be finite and >= 0")
 
     @property
     def sigma2(self) -> float:
         return self.mean_n + 0.5
-
-
-@dataclass(frozen=True)
-class FockMixture:
-    """Diagonal Fock-basis weights rho_n for n = 0..truncation."""
-
-    weights: np.ndarray
-    truncation: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.weights.size != self.truncation + 1:
-            raise ValueError("weights length must be truncation + 1")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,11 +63,6 @@ class BlackbodyMode:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0")
-
-
-def thermal_from_mean_n(mean_n: float) -> ThermalState:
-    """Thermal state with given mean occupation number."""
-    return ThermalState(float(mean_n))
 
 
 def occupation_number(mode: BlackbodyMode) -> float:
@@ -137,17 +117,19 @@ def geometric_weights(mean_n: float, nmax: int) -> np.ndarray:
     return ratio ** np.arange(nmax + 1) / (1.0 + mean_n)
 
 
-def fock_weights(state: ThermalState, tail_tol: float = 1e-12) -> FockMixture:
-    """Geometric Fock weights, truncated at the order N where the discarded
-    tail (<n>/(1+<n>))^(N+1) is at most tail_tol."""
+def fock_cutoff(state: ThermalState, tail_tol: float = 1e-12) -> int:
+    """Smallest order N at which the discarded tail of the geometric Fock
+    weights, (<n>/(1+<n>))^(N+1), is at most tail_tol.
+
+    log(<n>/(1+<n>)) is taken as -log1p(1/<n>), which stays nonzero for
+    every finite <n> (the direct form rounds to 0 from <n> ~ 1e16).
+    """
     if not (0.0 < tail_tol <= 1e-3):
         raise ValueError("tail_tol must lie in (0, 1e-3]")
     nbar = state.mean_n
     if nbar == 0.0:
-        return FockMixture(np.array([1.0]), 0)
-    ratio = nbar / (1.0 + nbar)
-    ncut = max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
-    return FockMixture(geometric_weights(nbar, ncut), ncut)
+        return 0
+    return max(0, math.ceil(math.log(tail_tol) / -math.log1p(1.0 / nbar)) - 1)
 
 
 def postselection_cutoff(state: ThermalState, q: float) -> int:
@@ -160,7 +142,7 @@ def postselection_cutoff(state: ThermalState, q: float) -> int:
     So the cutoff is extended past that turning point (the vacuum has a
     single component and needs none).
     """
-    ncut = fock_weights(state, POSTSELECTION_TAIL_TOL).truncation
+    ncut = fock_cutoff(state, POSTSELECTION_TAIL_TOL)
     if state.mean_n > 0.0:
         ncut += math.ceil(0.5 * q * q) + 10
     return ncut

@@ -14,12 +14,12 @@ Key closed forms (sigma2 = <n> + 1/2):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc
 
-from .numerics import Grid1D, erfc, hermite_psi_table, integrate
+from .numerics import Grid1D, hermite_psi_table, integrate
 from .quasiprob import s_closed
 from .states import (
     ThermalState,
@@ -29,15 +29,12 @@ from .states import (
 )
 
 __all__ = [
-    "WeakValueCurve",
-    "NegativityStats",
     "p2_weak_closed",
     "p2_weak_curve",
     "moment_weak_integral",
     "hamiltonian_weak",
     "negativity_threshold",
     "negativity_probability",
-    "negativity_stats",
     "classical_weak_value_p2",
 ]
 
@@ -51,31 +48,6 @@ MOMENT_EXTENT = 16.0
 #: Conditioning probability density below which a weak value is refused
 #: instead of clamped (the postselection outcome is out of support).
 MARGINAL_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class WeakValueCurve:
-    """Sampled map q -> weak value with provenance metadata."""
-
-    state: ThermalState
-    qgrid: Grid1D
-    values: np.ndarray
-    method: str  # "closed-form" | "conditional-moment-integral"
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size != self.qgrid.count:
-            raise ValueError("values length must equal qgrid.count")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("weak values must be finite")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class NegativityStats:
-    state: ThermalState
-    threshold_q: float
-    probability: float
 
 
 def p2_weak_closed(state: ThermalState, q):
@@ -115,9 +87,8 @@ def hamiltonian_weak(state: ThermalState, q: float) -> float:
     2*H_w(q) - q^2 = (p^2)_w(q).
     """
     ncut = postselection_cutoff(state, q)
-    weights = geometric_weights(state.mean_n, ncut)
     psi_q = hermite_psi_table(ncut, q)[:, 0]
-    terms = weights * psi_q * psi_q
+    terms = geometric_weights(state.mean_n, ncut) * psi_q * psi_q
     den = float(np.sum(terms))
     if den < MARGINAL_FLOOR:
         raise ValueError(f"postselection point q={q} is out of support")
@@ -140,20 +111,12 @@ def negativity_probability(state: ThermalState, method: str = "closed") -> float
     """
     s2 = state.sigma2
     if method == "closed":
-        return erfc(math.sqrt(0.5 + 2.0 * s2 * s2))
+        return float(erfc(math.sqrt(0.5 + 2.0 * s2 * s2)))
     if method == "quadrature":
         thr = negativity_threshold(state)
         tail, _ = quad(lambda x: q_marginal_pdf(state, x), thr, np.inf)
         return 2.0 * tail
     raise ValueError(f"unknown method {method!r}; expected 'closed' or 'quadrature'")
-
-
-def negativity_stats(state: ThermalState) -> NegativityStats:
-    return NegativityStats(
-        state=state,
-        threshold_q=negativity_threshold(state),
-        probability=negativity_probability(state, "closed"),
-    )
 
 
 def classical_weak_value_p2(state: ThermalState, q) -> float:
@@ -170,8 +133,8 @@ def classical_weak_value_p2(state: ThermalState, q) -> float:
 
 def p2_weak_curve(
     state: ThermalState, qgrid: Grid1D, method: str = "closed-form"
-) -> WeakValueCurve:
-    """Sample the weak value of p^2 along a q grid."""
+) -> np.ndarray:
+    """Weak value of p^2 at each point of a q grid, by the named method."""
     q = qgrid.points()
     if method == "closed-form":
         values = p2_weak_closed(state, q)
@@ -182,4 +145,6 @@ def p2_weak_curve(
             f"unknown method {method!r}; expected 'closed-form' or "
             "'conditional-moment-integral'"
         )
-    return WeakValueCurve(state, qgrid, values, method)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("weak values must be finite")
+    return values

@@ -26,11 +26,11 @@ from thermalweak import (
     s_oracle_fock,
     s_oracle_pintegral,
     simulate_weak_p2,
-    thermal_from_mean_n,
     thermal_pointer,
     wien_peak_occupation,
     BlackbodyMode,
     CouplingConfig,
+    ThermalState,
 )
 from thermalweak.measurement import DEFAULT_POINTER_GRID
 
@@ -54,7 +54,7 @@ def test_criterion_01_closed_form_vs_both_oracles():
     start = time.perf_counter()
     worst_fock = worst_pint = 0.0
     for _ in range(100):
-        state = thermal_from_mean_n(rng.uniform(1e-3, 2.0))
+        state = ThermalState(rng.uniform(1e-3, 2.0))
         q, p = rng.uniform(-5.0, 5.0, size=2)
         ref = s_closed(state, q, p)
         worst_fock = max(worst_fock, abs(ref - s_oracle_fock(state, q, p)))
@@ -71,10 +71,10 @@ def test_criterion_01_closed_form_vs_both_oracles():
 
 def test_criterion_02_fig1_negative_regions():
     grid = Grid1D(-4.0, 4.0, 481)
-    state = thermal_from_mean_n(0.01)
-    grid_min = eval_grid(state, grid, grid, "margenau-hill").values.real.min()
+    state = ThermalState(0.01)
+    grid_min = eval_grid(state, grid, grid, "margenau-hill").min()
     oracle_min = diagonal_minimum(state)
-    vacuum_min = diagonal_minimum(thermal_from_mean_n(0.0))
+    vacuum_min = diagonal_minimum(ThermalState(0.0))
     ok = (
         grid_min < 0.0
         and abs(grid_min - oracle_min) < 5e-4
@@ -90,9 +90,7 @@ def test_criterion_02_fig1_negative_regions():
 
 def test_criterion_03_fig2_negativity_practically_gone():
     grid = Grid1D(-6.0, 6.0, 601)
-    grid_min = eval_grid(
-        thermal_from_mean_n(1.0), grid, grid, "margenau-hill"
-    ).values.real.min()
+    grid_min = eval_grid(ThermalState(1.0), grid, grid, "margenau-hill").min()
     # The exact minimum is -1.0891e-4 (diagonal minimization), so the 1e-4
     # bound is missed by ~9%; kept as stated rather than loosened.
     ok = abs(grid_min) < 1e-4
@@ -107,7 +105,7 @@ def test_criterion_03_fig2_negativity_practically_gone():
 def test_criterion_04_conditional_moment_vs_closed_form():
     worst = 0.0
     for nbar in (0.0, 0.01, 0.3, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         for q in np.linspace(-5.0, 5.0, 41):
             worst = max(
                 worst, abs(moment_weak_integral(state, 2, q) - p2_weak_closed(state, q))
@@ -121,7 +119,7 @@ def test_criterion_05_fig3_negativity_probability_curve():
     worst_closed = worst_quad = 0.0
     values = []
     for nbar in np.linspace(0.0, 1.0, 50):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         closed = negativity_probability(state, "closed")
         values.append(closed)
         oracle = float(mpmath.erfc(mpmath.sqrt(0.5 + 2.0 * state.sigma2**2)))
@@ -148,7 +146,7 @@ def test_criterion_05_fig3_negativity_probability_curve():
 def test_criterion_06_energy_route_identity():
     worst = 0.0
     for nbar in (0.0, 0.01, 0.3, 1.0):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         for q in np.linspace(-5.0, 5.0, 41):
             worst = max(
                 worst,
@@ -160,7 +158,7 @@ def test_criterion_06_energy_route_identity():
 
 def test_criterion_07_simulator_convergence(pointer):
     start = time.perf_counter()
-    vac = thermal_from_mean_n(0.0)
+    vac = ThermalState(0.0)
     reports = convergence_sweep(vac, pointer, 2.0, [0.2, 0.1, 0.05, 0.01])
     elapsed = time.perf_counter() - start
     residuals = [r.residual for r in reports]
@@ -180,7 +178,7 @@ def test_criterion_07_simulator_convergence(pointer):
 
 
 def test_criterion_08_nonclassical_sign_gap(pointer):
-    state = thermal_from_mean_n(0.01)
+    state = ThermalState(0.01)
     q = 1.2 * negativity_threshold(state)
     cfg = CouplingConfig(g=0.01, postselect_q=q, bin_halfwidth=default_bin_halfwidth(state))
     rep = simulate_weak_p2(state, pointer, cfg)
@@ -197,8 +195,8 @@ def test_criterion_08_nonclassical_sign_gap(pointer):
 def test_criterion_09_pointer_independence(pointer):
     thermal_ptr = thermal_pointer(DEFAULT_POINTER_GRID, 0.3, 10.0)
     points = []
-    for nbar, q in ((0.0, 2.0), (0.01, 1.2 * negativity_threshold(thermal_from_mean_n(0.01))), (0.3, 2.5)):
-        state = thermal_from_mean_n(nbar)
+    for nbar, q in ((0.0, 2.0), (0.01, 1.2 * negativity_threshold(ThermalState(0.01))), (0.3, 2.5)):
+        state = ThermalState(nbar)
         cfg = CouplingConfig(g=0.01, postselect_q=q, bin_halfwidth=default_bin_halfwidth(state))
         a = simulate_weak_p2(state, pointer, cfg).estimated_weak_value
         b = simulate_weak_p2(state, thermal_ptr, cfg).estimated_weak_value
@@ -208,7 +206,7 @@ def test_criterion_09_pointer_independence(pointer):
     boosted = pointer_from_components(
         DEFAULT_POINTER_GRID, [(1.0, pointer.components[0][1] * np.exp(0.5j * x))]
     )
-    vac = thermal_from_mean_n(0.0)
+    vac = ThermalState(0.0)
     cfg = CouplingConfig(g=0.01, postselect_q=2.0, bin_halfwidth=default_bin_halfwidth(vac))
     rejected = False
     try:

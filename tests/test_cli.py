@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestWeakValueCurve:
             assert closed == pytest.approx(1.0 - q * q, abs=1e-10)
             assert abs(closed - integral) < 1e-8
             assert marker == ("1" if abs(q) >= 1.0 else "0")
+
+    def test_overflowing_occupation_refused(self, capsys):
+        # sigma2**3 overflows a float at mean_n = 1e300.
+        code, out, err = run(
+            capsys, "weakvalue-curve", "--mean-n", "1e300", "--count", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestNegativityProb:
@@ -216,6 +225,33 @@ class TestSimulate:
         assert rep["estimated_weak_value"] == pytest.approx(-12.9462965, abs=1e-3)
         assert rep["analytic_weak_value"] == pytest.approx(-12.95, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mean-n", "1e17", "--q", "1"],
+            ["--mean-n", "0", "--q", "1", "--pointer", "thermal", "--pointer-mean-n", "1e17"],
+        ],
+    )
+    def test_huge_occupation_refused(self, capsys, argv):
+        # log(<n>/(1+<n>)) rounds to 0 at <n> = 1e17; the Fock cutoff must
+        # still come out finite and meet the Hermite-order guard.
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unsupported order") and "1000" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_order_refused_before_weights_are_built(self, capsys):
+        # At mean_n = 1e6 the cutoff is ~3.7e7 orders; their weights alone
+        # would take ~300 MB before the order guard refuses.
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--mean-n", "1e6", "--q", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and err.startswith("error: unsupported order")
+        assert peak < 64e6
+
 
 class TestVerify:
     def test_all_pass(self, capsys):
@@ -228,3 +264,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--inject-fault", "hamiltonian_identity")
         assert code == 1
         assert "FAIL hamiltonian_identity" in out
+
+    def test_unknown_fault_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--inject-fault", "bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown check 'bogus'")
+        assert len(err.strip().splitlines()) == 1
+        for name in ("s_closed_vs_fock_oracle", "hamiltonian_identity", "normalization"):
+            assert name in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies
 from thermalweak import (
     CouplingConfig,
     Grid1D,
+    ThermalState,
     classical_weak_value_p2,
     convergence_sweep,
     default_bin_halfwidth,
@@ -15,7 +16,6 @@ from thermalweak import (
     p2_weak_closed,
     pointer_from_components,
     simulate_weak_p2,
-    thermal_from_mean_n,
     thermal_pointer,
 )
 from thermalweak.measurement import DEFAULT_POINTER_GRID
@@ -94,14 +94,14 @@ class TestCouplingConfig:
 
 class TestSimulateWeakP2:
     def test_vacuum_at_origin(self, wide_pointer):
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         cfg = CouplingConfig(0.01, 0.0, default_bin_halfwidth(vac))
         rep = simulate_weak_p2(vac, wide_pointer, cfg)
         assert rep.estimated_weak_value == pytest.approx(1.0, rel=0.02)
         assert 0.0 < rep.postselect_probability <= 1.0
 
     def test_negative_weak_value_beyond_threshold(self, wide_pointer):
-        st = thermal_from_mean_n(0.01)
+        st = ThermalState(0.01)
         q = 1.2 * negativity_threshold(st)
         cfg = CouplingConfig(0.01, q, default_bin_halfwidth(st))
         rep = simulate_weak_p2(st, wide_pointer, cfg)
@@ -117,19 +117,19 @@ class TestSimulateWeakP2:
             [(1.0, wide_pointer.components[0][1] * np.exp(0.5j * x))],
         )
         assert boosted.current_density_max > 1e-10
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         cfg = CouplingConfig(0.01, 0.0, default_bin_halfwidth(vac))
         with pytest.raises(ValueError, match="invalid pointer"):
             simulate_weak_p2(vac, boosted, cfg)
 
     def test_insufficient_statistics(self, wide_pointer):
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         cfg = CouplingConfig(0.01, 11.0, default_bin_halfwidth(vac))
         with pytest.raises(ValueError, match="insufficient statistics"):
             simulate_weak_p2(vac, wide_pointer, cfg)
 
     def test_bin_too_wide(self, wide_pointer):
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         cfg = CouplingConfig(0.01, 0.0, 0.2)  # > sigma/10
         with pytest.raises(ValueError, match="sigma/10"):
             simulate_weak_p2(vac, wide_pointer, cfg)
@@ -137,13 +137,13 @@ class TestSimulateWeakP2:
     @pytest.mark.parametrize("nbar, q", [(1.5, 2.0), (2.0, 3.0)])
     def test_large_occupation_matches_parabola(self, wide_pointer, nbar, q):
         # These occupations sum Fock orders up to 85 and 105.
-        st = thermal_from_mean_n(nbar)
+        st = ThermalState(nbar)
         cfg = CouplingConfig(0.01, q, default_bin_halfwidth(st))
         rep = simulate_weak_p2(st, wide_pointer, cfg)
         assert rep.residual < 1e-3
 
     def test_off_centre_pointer_grid(self, wide_pointer):
-        st = thermal_from_mean_n(0.3)
+        st = ThermalState(0.3)
         cfg = CouplingConfig(0.01, 2.5, default_bin_halfwidth(st))
         shifted = gaussian_pointer(Grid1D(-70.3, 99.7, 1089), 10.0)
         a = simulate_weak_p2(st, wide_pointer, cfg).estimated_weak_value
@@ -152,7 +152,7 @@ class TestSimulateWeakP2:
 
     def test_answers_below_object_grid_limit(self, wide_pointer):
         # mean_n = 1.3 needs Fock order 48, which still fits the object grid.
-        st = thermal_from_mean_n(1.3)
+        st = ThermalState(1.3)
         cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(st))
         rep = simulate_weak_p2(st, wide_pointer, cfg)
         assert rep.residual < 0.05 * abs(rep.analytic_weak_value)
@@ -197,7 +197,7 @@ class TestBinAverageOracle:
         u=strategies.floats(-4.0, 4.0),
     )
     def test_gaussian_pointer(self, wide_pointer, nbar, u):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         q = u * math.sqrt(state.sigma2)
         ref = bin_average_p2(nbar, q, default_bin_halfwidth(state))
         assert abs(richardson(state, wide_pointer, q) - ref) < oracle_tol(nbar, q)
@@ -207,7 +207,7 @@ class TestBinAverageOracle:
         [(0.0, 2.0), (0.01, 1.2 * math.sqrt(0.51 + 4.0 * 0.51**3)), (0.3, 2.5)],
     )
     def test_thermal_pointer(self, nbar, q):
-        state = thermal_from_mean_n(nbar)
+        state = ThermalState(nbar)
         pointer = thermal_pointer(DEFAULT_POINTER_GRID, 0.3, 10.0)
         ref = bin_average_p2(nbar, q, default_bin_halfwidth(state))
         assert abs(richardson(state, pointer, q) - ref) < oracle_tol(nbar, q)
@@ -215,14 +215,14 @@ class TestBinAverageOracle:
 
 class TestConvergenceSweep:
     def test_vacuum_q2_limit(self, wide_pointer):
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         reports = convergence_sweep(vac, wide_pointer, 2.0, [0.2, 0.1, 0.05])
         residuals = [r.residual for r in reports]
         assert all(b <= a + 1e-6 for a, b in zip(residuals, residuals[1:]))
         assert reports[-1].estimated_weak_value == pytest.approx(-3.0, rel=0.05)
 
     def test_small_occupation_limit(self, wide_pointer):
-        st = thermal_from_mean_n(0.01)
+        st = ThermalState(0.01)
         reports = convergence_sweep(st, wide_pointer, 1.5, [0.2, 0.1, 0.05])
         residuals = [r.residual for r in reports]
         assert all(b <= a + 1e-6 for a, b in zip(residuals, residuals[1:]))
@@ -231,7 +231,7 @@ class TestConvergenceSweep:
         )
 
     def test_requires_decreasing_couplings(self, wide_pointer):
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         with pytest.raises(ValueError, match="decreasing"):
             convergence_sweep(vac, wide_pointer, 2.0, [0.05, 0.1])
         with pytest.raises(ValueError, match="in \\(0, 1\\]"):
@@ -241,7 +241,7 @@ class TestConvergenceSweep:
 class TestPointerEquivalence:
     def test_gaussian_vs_thermal(self, wide_pointer):
         tp = thermal_pointer(DEFAULT_POINTER_GRID, 0.3, 10.0)
-        vac = thermal_from_mean_n(0.0)
+        vac = ThermalState(0.0)
         cfg = CouplingConfig(0.01, 2.0, default_bin_halfwidth(vac))
         rg = simulate_weak_p2(vac, wide_pointer, cfg)
         rt = simulate_weak_p2(vac, tp, cfg)

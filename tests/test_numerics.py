@@ -1,19 +1,20 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from thermalweak import (
-    DEFAULT_TEST_GRID,
     Grid1D,
-    erfc,
     hermite_psi,
     hermite_psi_table,
     integrate,
     p_to_q_transform,
     q_to_p_transform,
 )
+
+#: Grid for the transform tests: wide and fine enough for Fock states up to
+#: n ~ 60 and for accurate Fourier round trips.
+DEFAULT_TEST_GRID = Grid1D(-12.0, 12.0, 1537)
 
 
 class TestGrid1D:
@@ -73,30 +74,6 @@ class TestHermitePsi:
         table = hermite_psi_table(5, q)
         for n in range(6):
             np.testing.assert_allclose(table[n], hermite_psi(n, q), atol=1e-14)
-
-
-class TestErfc:
-    def test_at_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_at_one_frozen_oracle_value(self):
-        # mpmath.erfc(1) at 30 digits: 0.157299207050285130658779364917
-        assert erfc(1.0) == pytest.approx(0.157299207050285130658779364917, abs=1e-14)
-
-    def test_reflection(self):
-        assert erfc(-1.0) == pytest.approx(2.0 - erfc(1.0), abs=1e-15)
-
-    def test_against_high_precision_oracle(self):
-        mpmath.mp.dps = 30
-        for k in range(51):
-            x = 0.1 * k
-            assert abs(erfc(x) - float(mpmath.erfc(x))) < 1e-12
-
-    def test_range(self):
-        for x in (-5.0, -1.0, 0.5, 5.0):
-            assert 0.0 < erfc(x) < 2.0
-        # beyond |x| ~ 6 the open bounds saturate in float64
-        assert 0.0 <= erfc(10.0) and erfc(-10.0) <= 2.0
 
 
 class TestIntegrate:

@@ -1,18 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from thermalweak import (
     HBAR,
     K_BOLTZMANN,
     BlackbodyMode,
     Grid1D,
-    fock_weights,
+    ThermalState,
+    fock_cutoff,
+    geometric_weights,
     occupation_number,
     q_marginal_pdf,
     s_closed,
-    thermal_from_mean_n,
     wien_peak_occupation,
 )
 
@@ -33,17 +36,21 @@ def wien_x(c):
 class TestThermalState:
     @pytest.mark.parametrize("mean_n,sigma2", [(0.0, 0.5), (1.0, 1.5), (0.01, 0.51)])
     def test_variance(self, mean_n, sigma2):
-        assert thermal_from_mean_n(mean_n).sigma2 == sigma2
+        assert ThermalState(mean_n).sigma2 == sigma2
 
     def test_variance_offset_exact(self):
         for mean_n in np.linspace(0.0, 5.0, 23):
-            st = thermal_from_mean_n(mean_n)
+            st = ThermalState(mean_n)
             assert st.sigma2 == st.mean_n + 0.5
+
+    def test_mean_n_stored_as_float(self):
+        for value in (1, np.float64(0.25), np.int64(3)):
+            assert type(ThermalState(value).mean_n) is float
 
     @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
-            thermal_from_mean_n(bad)
+            ThermalState(bad)
 
 
 class TestOccupationNumber:
@@ -124,56 +131,74 @@ def fock_weight_quadrature_oracle(nbar, n, points=1201):
     return np.trapezoid(np.trapezoid(integrand, x), x)
 
 
+def truncated_weights(nbar, tail_tol=1e-12):
+    return geometric_weights(nbar, fock_cutoff(ThermalState(nbar), tail_tol))
+
+
 class TestFockWeights:
     def test_vacuum(self):
-        mix = fock_weights(thermal_from_mean_n(0.0))
-        assert mix.truncation == 0
-        np.testing.assert_array_equal(mix.weights, [1.0])
+        assert fock_cutoff(ThermalState(0.0)) == 0
+        np.testing.assert_array_equal(truncated_weights(0.0), [1.0])
 
     def test_mean_n_one(self):
-        mix = fock_weights(thermal_from_mean_n(1.0))
-        assert mix.weights[0] == pytest.approx(0.5)
-        assert mix.weights[1] == pytest.approx(0.25)
-        assert mix.weights[2] == pytest.approx(0.125)
+        weights = truncated_weights(1.0)
+        assert weights[0] == pytest.approx(0.5)
+        assert weights[1] == pytest.approx(0.25)
+        assert weights[2] == pytest.approx(0.125)
 
     def test_small_occupation_ground_weight(self):
-        mix = fock_weights(thermal_from_mean_n(0.01))
-        assert mix.weights[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
+        assert truncated_weights(0.01)[0] == pytest.approx(1.0 / 1.01, abs=1e-12)
 
     @pytest.mark.parametrize("nbar", [0.01, 0.5, 1.0])
     def test_against_p_distribution_quadrature(self, nbar):
-        mix = fock_weights(thermal_from_mean_n(nbar))
+        weights = truncated_weights(nbar)
         for n in range(6):
             oracle = fock_weight_quadrature_oracle(nbar, n)
-            assert abs(mix.weights[n] - oracle) < 1e-8
+            assert abs(weights[n] - oracle) < 1e-8
 
     @pytest.mark.parametrize("nbar", [0.01, 0.5, 1.0, 2.0])
     def test_tail_and_monotonicity(self, nbar):
         tail_tol = 1e-12
-        mix = fock_weights(thermal_from_mean_n(nbar), tail_tol)
-        total = mix.weights.sum()
-        assert 1.0 - tail_tol <= total <= 1.0 + 1e-15
-        assert np.all(np.diff(mix.weights) < 0)
+        weights = truncated_weights(nbar, tail_tol)
+        assert 1.0 - tail_tol <= weights.sum() <= 1.0 + 1e-15
+        assert np.all(np.diff(weights) < 0)
 
     def test_tail_tol_domain(self):
         with pytest.raises(ValueError):
-            fock_weights(thermal_from_mean_n(1.0), 1e-2)
+            fock_cutoff(ThermalState(1.0), 1e-2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nbar=strategies.floats(1e-300, 1e300),
+        tail_tol=strategies.floats(1e-16, 1e-3),
+    )
+    @example(nbar=1e17, tail_tol=1e-16)
+    def test_cutoff_is_smallest_order_meeting_tolerance(self, nbar, tail_tol):
+        # The tail r^(N+1) is at most tail_tol iff (N+1)*a >= b, with
+        # a = -log r = log1p(1/<n>) and b = -log(tail_tol), both at 30 digits.
+        # The slack of 1e-12 allows for float rounding in the rule itself.
+        ncut = fock_cutoff(ThermalState(nbar), tail_tol)
+        mpmath.mp.dps = 30
+        a = mpmath.log1p(1 / mpmath.mpf(nbar))
+        b = -mpmath.log(tail_tol)
+        assert (ncut + 1) * a >= b * (1 - 1e-12)
+        assert ncut == 0 or ncut * a < b * (1 + 1e-12)
 
 
 class TestQMarginal:
     def test_vacuum_peak(self):
-        assert q_marginal_pdf(thermal_from_mean_n(0.0), 0.0) == pytest.approx(
+        assert q_marginal_pdf(ThermalState(0.0), 0.0) == pytest.approx(
             math.pi**-0.5
         )
 
     def test_mean_n_one_peak(self):
-        assert q_marginal_pdf(thermal_from_mean_n(1.0), 0.0) == pytest.approx(
+        assert q_marginal_pdf(ThermalState(1.0), 0.0) == pytest.approx(
             (3.0 * math.pi) ** -0.5
         )
 
     @pytest.mark.parametrize("nbar", [0.0, 0.3, 1.0, 2.0])
     def test_normalization(self, nbar):
-        st = thermal_from_mean_n(nbar)
+        st = ThermalState(nbar)
         sig = math.sqrt(st.sigma2)
         g = Grid1D(-10.0 * sig, 10.0 * sig, 4001)
         total = np.trapezoid(q_marginal_pdf(st, g.points()), dx=g.spacing)
@@ -181,7 +206,7 @@ class TestQMarginal:
 
     @pytest.mark.parametrize("nbar", [0.01, 0.5, 1.0])
     def test_matches_p_integral_of_s(self, nbar):
-        st = thermal_from_mean_n(nbar)
+        st = ThermalState(nbar)
         s2 = st.sigma2
         p_std = math.sqrt((1.0 + 4.0 * s2 * s2) / (4.0 * s2))
         half = 8.0 * max(math.sqrt(s2), p_std)
