@@ -25,8 +25,8 @@ print(f"weak value turns negative beyond |q| = {threshold:.6f}")
 print(f"classical conditional <p^2 | q>    = {classical_weak_value_p2(state, 0.0)}")
 print()
 print(f"{'q':>6} {'closed':>12} {'moment integral':>16} {'2 H_w - q^2':>12}")
-for q in np.linspace(0.0, 2.0, 9):
+qs = np.linspace(0.0, 2.0, 9)
+for q, integral in zip(qs, moment_weak_integral(state, 2, qs)):
     closed = p2_weak_closed(state, q)
-    integral = moment_weak_integral(state, 2, q).real
     energy_route = 2.0 * hamiltonian_weak(state, q) - q * q
     print(f"{q:6.2f} {closed:12.6f} {integral:16.6f} {energy_route:12.6f}")

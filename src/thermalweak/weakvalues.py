@@ -1,10 +1,10 @@
 """Postselected weak values for thermal states.
 
-Weak values of p-moments postselected on the quadrature q, the
-energy-based alternative route, the negativity threshold and the
-probability of observing a negative weak value.
+Weak values of p-moments postselected on the quadrature q (conditional
+moments on a shifted contour, a whole q grid per call), the energy route,
+the negativity threshold and the probability of a negative weak value.
 
-Key closed forms (sigma2 = <n> + 1/2):
+Key closed forms (sigma2 = <n> + 1/2 <= MAX_SIGMA2, where 4*sigma2^3 is finite):
 
     (p^2)_w(q) = (sigma2 + 4*sigma2^3 - q^2) / (4*sigma2^2)
     threshold  = sqrt(sigma2 + 4*sigma2^3)
@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from .numerics import Grid1D, hermite_psi_table, integrate
-from .quasiprob import s_closed
 from .states import (
     ThermalState,
     geometric_weights,
@@ -41,7 +40,7 @@ __all__ = [
 MAX_MOMENT_ORDER = 8
 
 #: Trapezoid grid of the conditional-moment integral: points, and half-width
-#: in standard deviations of the p-marginal.
+#: in standard deviations of its Gaussian on the shifted contour.
 MOMENT_POINTS = 8001
 MOMENT_EXTENT = 16.0
 
@@ -49,35 +48,56 @@ MOMENT_EXTENT = 16.0
 #: instead of clamped (the postselection outcome is out of support).
 MARGINAL_FLOOR = 1e-300
 
+#: Largest sigma2 of the closed forms: 4*sigma2^3 overflows from ~3.56e102.
+MAX_SIGMA2 = 3.5e102
+
+
+def _sigma2(state: ThermalState) -> float:
+    if state.sigma2 > MAX_SIGMA2:
+        raise ValueError(
+            f"mean_n={state.mean_n!r}: sigma2 exceeds {MAX_SIGMA2:g}, where 4*sigma2^3 overflows"
+        )
+    return state.sigma2
+
 
 def p2_weak_closed(state: ThermalState, q):
     """Closed-form weak value of p^2 postselected on q (inverted parabola)."""
-    s2 = state.sigma2
+    s2 = _sigma2(state)
     q = np.asarray(q, dtype=float)
     out = (s2 + 4.0 * s2**3 - q * q) / (4.0 * s2 * s2)
     return float(out) if out.ndim == 0 else out
 
 
-def moment_weak_integral(state: ThermalState, n: int, q: float) -> float:
-    """Weak value of p^n as a conditional moment of S(q,p).
+def moment_weak_integral(state: ThermalState, n: int, q):
+    """Weak value of p^n as a conditional moment of S(q,p), at scalar or array q.
 
-    Evaluates integral dp p^n S(q,p) / <q|rho|q> by trapezoid quadrature of
-    the closed-form S and returns the real part.
+    Re integral dp p^n S(q,p)/<q|rho|q> on the contour p = u + ib, b = q/(2*sigma2)
+    (exact, as S is entire in p), where S/<q|rho|q> = sqrt(2*pi*sigma2)/(pi*sqrt(D))
+    * exp(-2*sigma2*u^2/D), D = 1 + 4*sigma2^2.  Re (u+ib)^n = sum_m (-1)^m C(n,2m)
+    u^(n-2m) b^(2m) needs only moments of that Gaussian, from one trapezoid
+    quadrature for every q: nothing cancels, so the closed form is met to rounding
+    at every q in support.  Float for scalar q.  Refuses n > MAX_MOMENT_ORDER,
+    sigma2 > MAX_SIGMA2, overflow and the first q of marginal < MARGINAL_FLOOR.
     """
     if not 0 <= n <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in [0, {MAX_MOMENT_ORDER}]")
-    marg = q_marginal_pdf(state, q)
-    if marg < MARGINAL_FLOOR:
-        raise ValueError(
-            f"postselection point q={q} is out of support "
-            f"(marginal < {MARGINAL_FLOOR})"
-        )
-    s2 = state.sigma2
-    p_std = math.sqrt((1.0 + 4.0 * s2 * s2) / (4.0 * s2))
-    pgrid = Grid1D(-MOMENT_EXTENT * p_std, MOMENT_EXTENT * p_std, MOMENT_POINTS)
-    p = pgrid.points()
-    vals = p**n * s_closed(state, q, p)
-    return float(np.real(integrate(vals, pgrid))) / marg
+    s2 = _sigma2(state)
+    q = np.asarray(q, dtype=float)
+    outside = q.ravel()[q_marginal_pdf(state, q.ravel()) < MARGINAL_FLOOR]
+    if outside.size:
+        raise ValueError(f"postselection point q={outside[0]} is out of support")
+    denom = 1.0 + 4.0 * s2 * s2
+    half = MOMENT_EXTENT * math.sqrt(denom / (4.0 * s2))
+    ugrid = Grid1D(-half, half, MOMENT_POINTS)
+    u = ugrid.points()
+    powers = u ** np.arange(n, -1, -2)[:, None]
+    moments = integrate(powers * np.exp(-2.0 * s2 * u * u / denom), ugrid)
+    coeffs = [(-1) ** m * math.comb(n, 2 * m) * mk for m, mk in enumerate(moments)]
+    out = np.polyval(coeffs[::-1], (q / (2.0 * s2)) ** 2)
+    out *= math.sqrt(2.0 * math.pi * s2) / (math.pi * math.sqrt(denom))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"p^{n} weak value overflows a float at mean_n={state.mean_n!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def hamiltonian_weak(state: ThermalState, q: float) -> float:
@@ -98,7 +118,7 @@ def hamiltonian_weak(state: ThermalState, q: float) -> float:
 
 def negativity_threshold(state: ThermalState) -> float:
     """|q| beyond which the weak value of p^2 turns negative."""
-    s2 = state.sigma2
+    s2 = _sigma2(state)
     return math.sqrt(s2 + 4.0 * s2**3)
 
 
@@ -139,7 +159,7 @@ def p2_weak_curve(
     if method == "closed-form":
         values = p2_weak_closed(state, q)
     elif method == "conditional-moment-integral":
-        values = np.array([moment_weak_integral(state, 2, qi) for qi in q])
+        values = moment_weak_integral(state, 2, q)
     else:
         raise ValueError(
             f"unknown method {method!r}; expected 'closed-form' or "

@@ -92,6 +92,41 @@ class TestWeakValueCurve:
             assert abs(closed - integral) < 1e-8
             assert marker == ("1" if abs(q) >= 1.0 else "0")
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("--mean-n", "0", "--qmin", "7", "--qmax", "9", "--count", "3"),
+            ("--mean-n", "0.001", "--qmin", "10", "--qmax", "12", "--count", "2"),
+        ],
+    )
+    def test_moment_column_exact_at_large_q(self, capsys, window):
+        code, out, _ = run(
+            capsys, "weakvalue-curve", *window, "--method", "both", "--no-header"
+        )
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            _, closed, integral, _ = row.split(",")
+            assert float(integral) == pytest.approx(float(closed), rel=1e-9, abs=0.0)
+
+    def test_curve_leaving_support_names_first_q(self, capsys):
+        code, out, err = run(
+            capsys, "weakvalue-curve", "--mean-n", "0",
+            "--qmin", "20", "--qmax", "40", "--count", "5", "--method", "both",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: postselection point q=30.0 is out of support\n"
+
+    @pytest.mark.parametrize("method", ["closed-form", "both"])
+    def test_occupation_limit(self, capsys, method):
+        argv = ["weakvalue-curve", "--count", "3", "--method", method, "--no-header"]
+        code, out, _ = run(capsys, *argv, "--mean-n", "3.4e102")
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            assert all(float(v) == pytest.approx(3.4e102) for v in row.split(",")[1:-1])
+        code, out, err = run(capsys, *argv, "--mean-n", "3.6e102")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "sigma2 exceeds 3.5e+102" in err
+
     def test_overflowing_occupation_refused(self, capsys):
         # sigma2**3 overflows a float at mean_n = 1e300.
         code, out, err = run(

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from thermalweak import (
     Grid1D,
@@ -13,7 +15,9 @@ from thermalweak import (
     negativity_threshold,
     p2_weak_closed,
     p2_weak_curve,
+    q_marginal_pdf,
 )
+from thermalweak.weakvalues import MARGINAL_FLOOR, MAX_SIGMA2
 
 SWEEP_Q = np.linspace(-5.0, 5.0, 41)
 SWEEP_NBAR = (0.0, 0.01, 0.3, 1.0)
@@ -66,6 +70,73 @@ class TestMomentIntegral:
     def test_out_of_support(self):
         with pytest.raises(ValueError, match="out of support"):
             moment_weak_integral(ThermalState(0.0), 2, 60.0)
+
+    def test_out_of_support_names_first_such_q(self):
+        q = np.array([1.0, 35.0, 60.0, 2.0])
+        with pytest.raises(ValueError, match=r"q=35\.0 is out of support"):
+            moment_weak_integral(ThermalState(0.0), 2, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nbar=strategies.floats(0.0, 5.0),
+        q=strategies.floats(-15.0, 15.0),
+    )
+    def test_second_moment_exact_at_every_q(self, nbar, q):
+        st = ThermalState(nbar)
+        assume(q_marginal_pdf(st, q) >= MARGINAL_FLOOR)
+        s2 = st.sigma2
+        scale = (s2 + 4.0 * s2**3 + q * q) / (4.0 * s2 * s2)
+        assert abs(moment_weak_integral(st, 2, q) - p2_weak_closed(st, q)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("nbar,q", [(0.0, 3.0), (1e-3, 8.0), (0.3, -5.0), (2.0, 6.5)])
+    def test_orders_against_mpmath(self, nbar, q):
+        # Independent route: along real p, integral p^n exp(-a p^2 + i c p) dp
+        # = (i/(2 sqrt a))^n H_n(c/(2 sqrt a)) exp(-c^2/(4a)) sqrt(pi/a).
+        st = ThermalState(nbar)
+        s2 = st.sigma2
+        p_std = math.sqrt((1.0 + 4.0 * s2 * s2) / (4.0 * s2))
+        with mpmath.workdps(40):
+            m_s2 = mpmath.mpf(nbar) + mpmath.mpf(1) / 2
+            d = 1 + 4 * m_s2 * m_s2
+            a, x = 2 * m_s2 / d, mpmath.mpf(q) / mpmath.sqrt(2 * m_s2 * d)
+            ratio = mpmath.sqrt(2 * m_s2 / (a * d)) * mpmath.exp(
+                q * q / (2 * m_s2) - 2 * m_s2 * q * q / d - x * x
+            )
+            for n in (0, 1, 4, 5, 8):
+                ref = (1j / (2 * mpmath.sqrt(a))) ** n * mpmath.hermite(n, x) * ratio
+                # Bound of |(u + ib)^n| over the bulk of the contour Gaussian.
+                scale = (p_std + abs(q) / (2.0 * s2)) ** n
+                got = moment_weak_integral(st, n, q)
+                assert abs(got - float(mpmath.re(ref))) <= 1e-13 * scale, n
+
+    def test_array_call_equals_pointwise_calls(self):
+        q = np.linspace(-12.0, 12.0, 97)
+        for nbar in (0.0, 1e-3, 0.7):
+            st = ThermalState(nbar)
+            for n in (1, 2, 5):
+                pointwise = [moment_weak_integral(st, n, qi) for qi in q]
+                assert isinstance(pointwise[0], float)
+                np.testing.assert_array_equal(moment_weak_integral(st, n, q), pointwise)
+
+
+class TestClosedFormDomain:
+    def test_limit_refused_with_its_value(self):
+        inside, past = ThermalState(MAX_SIGMA2 - 0.5), ThermalState(3.6e102)
+        assert math.isfinite(p2_weak_closed(inside, 1.0))
+        assert math.isfinite(negativity_threshold(inside))
+        assert math.isfinite(moment_weak_integral(inside, 2, 1.0))
+        for route in (
+            lambda st: p2_weak_closed(st, 1.0),
+            negativity_threshold,
+            lambda st: moment_weak_integral(st, 2, 1.0),
+        ):
+            with pytest.raises(ValueError, match=r"sigma2 exceeds 3\.5e\+102"):
+                route(past)
+
+    def test_high_order_overflow_refused(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                moment_weak_integral(ThermalState(1e100), 8, 0.0)
 
 
 class TestHamiltonianWeak:
