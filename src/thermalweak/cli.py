@@ -10,6 +10,7 @@ quantities are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .numerics import Grid1D
+from .numerics import Grid1D, integrate
 from .states import (
     BlackbodyMode,
     ThermalState,
@@ -52,33 +53,25 @@ def _fmt(value: float) -> str:
 
 def _open_out(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _emit(lines, out_path, no_header, meta):
     """Write CSV lines (first entry is the column header) to a file/stdout."""
-    fh, close = _open_out(out_path)
-    try:
+    with _open_out(out_path) as fh:
         if not no_header:
             fh.write(f"# thermalweak {__version__}\n")
             for key, val in meta.items():
                 fh.write(f"# {key}: {val}\n")
         for line in lines:
             fh.write(line + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _emit_json(meta, data, out_path):
-    fh, close = _open_out(out_path)
-    try:
+    with _open_out(out_path) as fh:
         json.dump({"meta": meta, "data": data}, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def cmd_mh_grid(args) -> int:
@@ -154,9 +147,7 @@ def cmd_negativity_prob(args) -> int:
     if args.format == "json":
         _emit_json(meta, {"mean_n": grid.tolist(), "probability": probs}, args.out)
         return 0
-    lines = ["mean_n,probability"]
-    for n, prob in zip(grid, probs):
-        lines.append(f"{_fmt(n)},{_fmt(prob)}")
+    lines = ["mean_n,probability", *(f"{_fmt(n)},{_fmt(p)}" for n, p in zip(grid, probs))]
     _emit(lines, args.out, args.no_header, meta)
     return 0
 
@@ -245,38 +236,28 @@ def _verify_checks(rng):
     yield "moment_integral_vs_closed", err, 1e-8
 
     # Energy-route identity 2*H_w - q^2 = (p^2)_w.
-    err = 0.0
-    for nbar in (0.0, 0.01, 0.3, 1.0):
-        state = ThermalState(nbar)
-        for q in np.linspace(-5.0, 5.0, 11):
-            err = max(
-                err,
-                abs(2.0 * hamiltonian_weak(state, q) - q * q - p2_weak_closed(state, q)),
-            )
+    err = max(
+        abs(2.0 * hamiltonian_weak(state, q) - q * q - p2_weak_closed(state, q))
+        for state in map(ThermalState, (0.0, 0.01, 0.3, 1.0))
+        for q in np.linspace(-5.0, 5.0, 11)
+    )
     yield "hamiltonian_identity", err, 1e-8
 
     # Closed-form negativity probability against tail quadrature.
-    err = 0.0
-    for nbar in np.linspace(0.0, 2.0, 9):
-        state = ThermalState(nbar)
-        err = max(
-            err,
-            abs(
-                negativity_probability(state, "closed")
-                - negativity_probability(state, "quadrature")
-            ),
-        )
+    err = max(
+        abs(negativity_probability(state) - negativity_probability(state, "quadrature"))
+        for state in map(ThermalState, np.linspace(0.0, 2.0, 9))
+    )
     yield "negativity_prob_closed_vs_quadrature", err, 1e-9
 
-    # Marginal of S over p against the Gaussian marginal.
+    # Marginal of S over p, over +-12 std sqrt((1+4*sigma2^2)/(4*sigma2)) of Re S in p.
     err = 0.0
     for nbar in (0.01, 0.5, 1.0):
         state = ThermalState(nbar)
-        sig = math.sqrt(state.sigma2)
-        pgrid = Grid1D(-8.0 * sig, 8.0 * sig, 801)
-        p = pgrid.points()
+        half = 12.0 * math.sqrt((1.0 + 4.0 * state.sigma2**2) / (4.0 * state.sigma2))
+        pgrid = Grid1D(-half, half, 801)
         for q in (-2.0, 0.0, 1.5):
-            marg = np.trapezoid(np.real(s_closed(state, q, p)), dx=pgrid.spacing)
+            marg = integrate(np.real(s_closed(state, q, pgrid.points())), pgrid)
             err = max(err, abs(marg - q_marginal_pdf(state, q)))
     yield "marginal_consistency", err, 1e-8
 
@@ -287,10 +268,7 @@ def _verify_checks(rng):
         sig = math.sqrt(state.sigma2)
         grid = Grid1D(-8.0 * sig, 8.0 * sig, 801)
         v = grid.points()
-        total = np.trapezoid(
-            np.trapezoid(np.real(s_closed(state, v[:, None], v[None, :])), dx=grid.spacing),
-            dx=grid.spacing,
-        )
+        total = integrate(integrate(np.real(s_closed(state, v[:, None], v[None, :])), grid), grid)
         err = max(err, abs(total - 1.0))
     yield "normalization", err, 1e-8
 
@@ -308,8 +286,7 @@ def cmd_verify(args) -> int:
         if args.inject_fault == name:
             err = err + 10.0 * tol
         ok = err < tol
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} (max_err={err:.3e}, tol={tol:.0e})")
+        print(f"{'PASS' if ok else 'FAIL'} {name} (max_err={err:.3e}, tol={tol:.0e})")
         if not ok:
             failed.append(name)
     if failed:
@@ -389,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_POINTER_WIDTH,
         help="gaussian width / thermal scale",
     )
-    sp.add_argument(
-        "--pointer-mean-n", dest="pointer_mean_n", type=float, default=0.3
-    )
+    sp.add_argument("--pointer-mean-n", dest="pointer_mean_n", type=float, default=0.3)
     sp.add_argument("--bin-halfwidth", dest="bin_halfwidth", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_simulate)

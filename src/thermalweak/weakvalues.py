@@ -2,22 +2,23 @@
 
 Weak values of p-moments postselected on the quadrature q (conditional
 moments on a shifted contour, a whole q grid per call), the energy route,
-the negativity threshold and the probability of a negative weak value.
+the negativity threshold and the probability P(negative) of a negative weak
+value, by math.erfc or by Gauss-Legendre quadrature of the q-marginal's tails.
 
 Key closed forms (sigma2 = <n> + 1/2 <= MAX_SIGMA2, where 4*sigma2^3 is finite):
 
     (p^2)_w(q) = (sigma2 + 4*sigma2^3 - q^2) / (4*sigma2^2)
     threshold  = sqrt(sigma2 + 4*sigma2^3)
-    P(negative) = erfc(sqrt(1/2 + 2*sigma2^2))
+    P(negative) = erfc(sqrt(1/2 + 2*sigma2^2)), a normal float for <n> < 18.2623
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .numerics import Grid1D, hermite_psi_table, integrate
 from .states import (
@@ -50,6 +51,10 @@ MARGINAL_FLOOR = 1e-300
 
 #: Largest sigma2 of the closed forms: 4*sigma2^3 overflows from ~3.56e102.
 MAX_SIGMA2 = 3.5e102
+
+#: P(negative) quadrature: Gauss-Legendre nodes, and decay lengths past the threshold.
+TAIL_NODES = 64
+TAIL_LENGTHS = 40.0
 
 
 def _sigma2(state: ThermalState) -> float:
@@ -122,21 +127,41 @@ def negativity_threshold(state: ThermalState) -> float:
     return math.sqrt(s2 + 4.0 * s2**3)
 
 
+@functools.cache
+def _tail_rule():
+    return np.polynomial.legendre.leggauss(TAIL_NODES)
+
+
 def negativity_probability(state: ThermalState, method: str = "closed") -> float:
     """Probability of postselecting a q where (p^2)_w is negative.
 
-    "closed" evaluates erfc(sqrt(1/2 + 2*sigma2^2)); "quadrature"
-    integrates the two Gaussian tails of the q-marginal beyond the
-    threshold.
+    "closed" is math.erfc(x)*(1 - r), x = sqrt(1/2 + 2*sigma2^2) as rounded and
+    r = 1/2 + 2*sigma2^2 - x^2 exact: erfc(sqrt(x^2 + r)) ~ erfc(x)*(1 - r) at large x.
+    "quadrature" (no erfc) is twice a TAIL_NODES-point Gauss-Legendre rule of
+    q_marginal_pdf over [thr, thr + TAIL_LENGTHS*sigma2/thr], sigma2/thr being the
+    tail's decay length.  Both refuse P < sys.float_info.min, i.e. <n> > 18.2623.
     """
     s2 = state.sigma2
     if method == "closed":
-        return float(erfc(math.sqrt(0.5 + 2.0 * s2 * s2)))
-    if method == "quadrature":
+        x = math.sqrt(0.5 + 2.0 * s2 * s2)
+        prob = math.erfc(x)
+        if prob >= sys.float_info.min:
+            # r = 2m(m+1) + 1 - x^2 in integers, with m = a/b and x = c/d.
+            (a, b), (c, d) = state.mean_n.as_integer_ratio(), x.as_integer_ratio()
+            prob *= 1.0 - ((2 * a * (a + b) + b * b) * d * d - (b * c) ** 2) / (b * d) ** 2
+    elif method == "quadrature":
         thr = negativity_threshold(state)
-        tail, _ = quad(lambda x: q_marginal_pdf(state, x), thr, np.inf)
-        return 2.0 * tail
-    raise ValueError(f"unknown method {method!r}; expected 'closed' or 'quadrature'")
+        half = 0.5 * TAIL_LENGTHS * s2 / thr
+        nodes, weights = _tail_rule()
+        prob = 2.0 * half * float(weights @ q_marginal_pdf(state, thr + half * (nodes + 1.0)))
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'closed' or 'quadrature'")
+    if prob < sys.float_info.min:
+        raise ValueError(
+            f"mean_n={state.mean_n!r}: P(negative) is below the normal float range "
+            "from mean_n ~ 18.2623"
+        )
+    return prob
 
 
 def classical_weak_value_p2(state: ThermalState, q) -> float:

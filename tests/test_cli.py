@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import thermalweak
 from thermalweak.cli import main
 
 
@@ -162,6 +168,21 @@ class TestNegativityProb:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--steps" in err
 
+    def test_below_normal_float_range_refused(self, capsys):
+        code, out, err = run(
+            capsys, "negativity-prob", "--mean-n-min", "17", "--mean-n-max", "20", "--steps", "4"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "normal float range from mean_n ~ 18.2623" in err
+
+    def test_default_csv_unchanged(self, capsys):
+        code, out, _ = run(capsys, "negativity-prob")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a5b7401feb8f6a19a18d84d1d8fe2943e839a95bb13e8fec963d882db91f2e7b"
+        )
+
 
 class TestOccupation:
     def test_wien_wavelength(self, capsys):
@@ -300,6 +321,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL hamiltonian_identity" in out
 
+    def test_marginal_check_measures_the_program(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        line = next(ln for ln in out.splitlines() if " marginal_consistency " in ln)
+        assert code == 0
+        assert float(re.search(r"max_err=([^,]+),", line).group(1)) <= 1e-13
+
+    def test_injected_marginal_fault_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--inject-fault", "marginal_consistency")
+        assert code == 1
+        assert "FAIL marginal_consistency" in out
+
     def test_unknown_fault_refused(self, capsys):
         code, out, err = run(capsys, "verify", "--inject-fault", "bogus")
         assert code == 2 and out == ""
@@ -307,3 +339,20 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1
         for name in ("s_closed_vs_fock_oracle", "hamiltonian_identity", "normalization"):
             assert name in err
+
+
+class TestImport:
+    def test_no_scipy_module_is_imported(self):
+        # scipy is a test dependency only; importing it would dominate start-up.
+        probe = (
+            "import sys, thermalweak, thermalweak.cli; "
+            "print(thermalweak.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = os.path.dirname(os.path.dirname(thermalweak.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert res.stdout.splitlines() == [thermalweak.__file__, "[]"]

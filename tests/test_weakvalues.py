@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -223,6 +224,22 @@ class TestNegativityProbability:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             negativity_probability(ThermalState(0.0), "mc")
+
+    @pytest.mark.parametrize("method,rtol", [("closed", 1e-13), ("quadrature", 1e-12)])
+    @settings(max_examples=150, deadline=None)
+    @given(nbar=strategies.floats(0.0, 18.2))
+    def test_against_mpmath(self, method, rtol, nbar):
+        with mpmath.workdps(50):
+            s2 = mpmath.mpf(nbar) + mpmath.mpf(1) / 2
+            ref = float(mpmath.erfc(mpmath.sqrt(mpmath.mpf(1) / 2 + 2 * s2 * s2)))
+        assert abs(negativity_probability(ThermalState(nbar), method) - ref) <= rtol * ref
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_below_normal_float_range_refused(self, method):
+        assert negativity_probability(ThermalState(18.2), method) >= sys.float_info.min
+        for nbar in (18.3, 19.0, 1e3):
+            with pytest.raises(ValueError, match=r"normal float range from mean_n ~ 18\.26"):
+                negativity_probability(ThermalState(nbar), method)
 
 
 class TestClassicalWeakValue:
