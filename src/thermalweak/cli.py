@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .numerics import Grid1D, integrate
+from .numerics import TRAPEZOID_LOG_TARGET, Grid1D, integrate, trapezoid_count
 from .states import (
     BlackbodyMode,
     ThermalState,
@@ -261,12 +261,15 @@ def _verify_checks(rng):
             err = max(err, abs(marg - q_marginal_pdf(state, q)))
     yield "marginal_consistency", err, 1e-8
 
-    # Normalization of S over the plane.
+    # Normalization of S over the plane: exp(-a*v^2) per axis, a = 2*sigma2/D, D = 1+4*sigma2^2,
+    # phase frequency <= 2*half/D: on +-sqrt(ln(1e16)/a) both bounds are 1e-16, 33-48 nodes.
     err = 0.0
     for nbar in (0.01, 0.5, 1.0):
         state = ThermalState(nbar)
-        sig = math.sqrt(state.sigma2)
-        grid = Grid1D(-8.0 * sig, 8.0 * sig, 801)
+        denom = 1.0 + 4.0 * state.sigma2**2
+        a = 2.0 * state.sigma2 / denom
+        half = math.sqrt(TRAPEZOID_LOG_TARGET / a)
+        grid = Grid1D(-half, half, trapezoid_count(half, 2.0 * half / denom, a))
         v = grid.points()
         total = integrate(integrate(np.real(s_closed(state, v[:, None], v[None, :])), grid), grid)
         err = max(err, abs(total - 1.0))

@@ -40,8 +40,9 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 8
 
-#: Trapezoid grid of the conditional-moment integral: points, and half-width
-#: in standard deviations of its Gaussian on the shifted contour.
+#: Trapezoid grid of the conditional-moment integral: points, and half-width in standard
+#: deviations of its Gaussian on the shifted contour.  Not from trapezoid_count: sized for u^8
+#: (36 nodes) it is exact to rounding, but moves it (vacuum CSV at q=1: -1.77e-16 -> -3.54e-16).
 MOMENT_POINTS = 8001
 MOMENT_EXTENT = 16.0
 
@@ -108,11 +109,13 @@ def moment_weak_integral(state: ThermalState, n: int, q):
 def hamiltonian_weak(state: ThermalState, q: float) -> float:
     """Weak value of the free-field Hamiltonian (p^2+q^2)/2 postselected on q.
 
-    Fock route: <q|rho H|q> = sum_n rho_n (n+1/2) psi_n(q)^2.  Satisfies
-    2*H_w(q) - q^2 = (p^2)_w(q).
+    Fock route: <q|rho H|q> = sum_n rho_n (n+1/2) psi_n(q)^2; 2*H_w(q) - q^2 = (p^2)_w(q).
+    Refuses |q| past 38.604, where the seed pi^(-1/4)*exp(-q^2/2) underflows to zero.
     """
     ncut = postselection_cutoff(state, q)
     psi_q = hermite_psi_table(ncut, q)[:, 0]
+    if psi_q[0] == 0.0:
+        raise ValueError(f"postselection point q={q} is past the Hermite seed limit 38.604")
     terms = geometric_weights(state.mean_n, ncut) * psi_q * psi_q
     den = float(np.sum(terms))
     if den < MARGINAL_FLOOR:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import thermalweak
+from thermalweak import cli, quasiprob
 from thermalweak.cli import main
 
 
@@ -331,6 +332,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--inject-fault", "marginal_consistency")
         assert code == 1
         assert "FAIL marginal_consistency" in out
+
+    def test_bound_sized_checks_read_rounding(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        for name in ("s_closed_vs_pintegral_oracle", "normalization"):
+            line = next(ln for ln in out.splitlines() if f" {name} " in ln)
+            assert float(re.search(r"max_err=([^,]+),", line).group(1)) <= 1e-15
+
+    def test_faulty_closed_form_fails(self, monkeypatch, capsys):
+        # The oracle grids must stay fine enough to measure the program.
+        monkeypatch.setattr(cli, "s_closed", lambda *a: np.conj(quasiprob.s_closed(*a)))
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL s_closed_vs_fock_oracle" in out
+        assert "FAIL s_closed_vs_pintegral_oracle" in out
+        monkeypatch.setattr(cli, "s_closed", lambda *a: quasiprob.s_closed(*a) * (1.0 + 1e-6))
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL normalization" in out
 
     def test_unknown_fault_refused(self, capsys):
         code, out, err = run(capsys, "verify", "--inject-fault", "bogus")

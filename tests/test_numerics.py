@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from thermalweak import (
     Grid1D,
@@ -11,6 +12,7 @@ from thermalweak import (
     p_to_q_transform,
     q_to_p_transform,
 )
+from thermalweak.numerics import TRAPEZOID_LOG_TARGET, trapezoid_count
 
 #: Grid for the transform tests: wide and fine enough for Fock states up to
 #: n ~ 60 and for accurate Fourier round trips.
@@ -94,6 +96,38 @@ class TestIntegrate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             integrate(np.ones(10), Grid1D(0.0, 1.0, 11))
+
+
+class TestTrapezoidCount:
+    @staticmethod
+    def gaussian_wave_error(a, w, half, count):
+        """|trapezoid - exact| of exp(-a x^2 + i w x) on [-half, half], per integral of |f|."""
+        grid = Grid1D(-half, half, count)
+        x = grid.points()
+        got = integrate(np.exp(-a * x * x + 1j * w * x), grid)
+        exact = math.sqrt(math.pi / a) * math.exp(-w * w / (4.0 * a))
+        return abs(got - exact) / math.sqrt(math.pi / a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_a=strategies.floats(-2.0, 3.0),
+        spread=strategies.floats(0.0, 20.0),
+        share=strategies.floats(0.0, 1.0),
+    )
+    def test_count_meets_bound_and_is_not_padded(self, log_a, spread, share):
+        a = 10.0**log_a
+        omega = spread * math.sqrt(a)
+        half = math.sqrt(TRAPEZOID_LOG_TARGET / a)
+        count = trapezoid_count(half, omega, a)
+        # 1e-16 bound; the phase's rounding adds ~eps*|w*x| where the integral cancels.
+        assert self.gaussian_wave_error(a, share * omega, half, count) <= 1e-14
+        assert self.gaussian_wave_error(a, omega, half, (3 * count) // 4) > 1e-12
+
+    def test_truncating_window_refused(self):
+        half = math.sqrt(TRAPEZOID_LOG_TARGET / 2.0)
+        assert trapezoid_count(half, 0.0, 2.0) >= 2
+        with pytest.raises(ValueError, match="truncates"):
+            trapezoid_count(0.99 * half, 0.0, 2.0)
 
 
 class TestTransforms:

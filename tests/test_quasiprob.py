@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 from scipy.optimize import minimize_scalar
 
 from thermalweak import (
@@ -13,6 +15,15 @@ from thermalweak import (
     s_closed,
     s_oracle_fock,
     s_oracle_pintegral,
+)
+from thermalweak import quasiprob
+from thermalweak.numerics import trapezoid_count
+
+# <n> log-uniform in [1e-4, 10] and |q|, |p| <= 8: criterion 1's domain and beyond.
+ORACLE_DOMAIN = dict(
+    log_nbar=strategies.floats(-4.0, 1.0),
+    q=strategies.floats(-8.0, 8.0),
+    p=strategies.floats(-8.0, 8.0),
 )
 
 
@@ -153,6 +164,29 @@ class TestPIntegralOracle:
     def test_vacuum_rejected(self):
         with pytest.raises(ValueError, match="point mass"):
             s_oracle_pintegral(ThermalState(0.0), 0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**ORACLE_DOMAIN)
+    @example(log_nbar=1.0, q=8.0, p=-8.0)
+    @example(log_nbar=-4.0, q=-8.0, p=8.0)
+    def test_meets_closed_form_to_rounding(self, log_nbar, q, p):
+        st = ThermalState(10.0**log_nbar)
+        assert abs(s_closed(st, q, p) - s_oracle_pintegral(st, q, p)) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(**ORACLE_DOMAIN)
+    @example(log_nbar=1.0, q=8.0, p=-8.0)
+    def test_grid_sized_from_its_bound(self, log_nbar, q, p):
+        # Perf guard: a few dozen nodes per axis, never a fixed 801 x 801 grid.
+        counts = []
+
+        def spy(*args):
+            counts.append(trapezoid_count(*args))
+            return counts[-1]
+
+        with mock.patch.object(quasiprob, "trapezoid_count", spy):
+            s_oracle_pintegral(ThermalState(10.0**log_nbar), q, p)
+        assert len(counts) == 1 and counts[0] <= 64
 
 
 class TestEvalGrid:

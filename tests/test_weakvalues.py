@@ -165,6 +165,17 @@ class TestHamiltonianWeak:
                 lhs = 2.0 * hamiltonian_weak(st, q) - q * q
                 assert abs(lhs - p2_weak_closed(st, q)) < 1e-8
 
+    def test_hermite_seed_limit(self):
+        # pi^(-1/4) exp(-q^2/2) underflows past |q| ~ 38.604; the marginal is still ~1e-232.
+        st = ThermalState(1.0)
+        assert q_marginal_pdf(st, 39.0) > MARGINAL_FLOOR
+        lhs = 2.0 * hamiltonian_weak(st, 38.5) - 38.5**2
+        assert abs(lhs - p2_weak_closed(st, 38.5)) < 1e-15 * 38.5**2
+        for q in (39.0, 40.0, -40.0):
+            with pytest.raises(ValueError, match="Hermite seed limit 38.604") as info:
+                hamiltonian_weak(st, q)
+            assert "out of support" not in str(info.value)
+
 
 class TestNegativityThreshold:
     def test_vacuum(self):
